@@ -29,6 +29,16 @@
 //! every fill moves the full model artifact, making sharing invisible
 //! on the wire — the baseline the `block_transfer` bench pins against.
 //!
+//! One run loop, one snapshot: [`ServeEngine`] is the region coordinator
+//! of [`crate::shard`] at `R = 1`. The coordinator owns the run loop,
+//! the checkpoint windows, resume/fork restore, the run's single mutable
+//! radio snapshot and the per-user primary servers. This module holds
+//! the crate-private per-region core it drives: the event handlers,
+//! caches, links, controller and journal of one region, which borrow
+//! the snapshot read-only. At `R = 1` the one region owns every server
+//! and user, so its membership masks are all-true and the run is the
+//! classic whole-scenario engine.
+//!
 //! Determinism: a single seeded RNG, a tie-broken event queue, transfer
 //! rates frozen at transfer start and policies that are pure functions
 //! of cache state make every run a pure function of
@@ -45,18 +55,20 @@ use serde::{Deserialize, Serialize};
 use trimcaching_modellib::ModelId;
 use trimcaching_scenario::mobility::MobilityModel;
 use trimcaching_scenario::{LatencyEvaluator, Placement, Scenario, UserId};
-use trimcaching_wireless::geometry::{DeploymentArea, Point};
+use trimcaching_wireless::geometry::DeploymentArea;
 
 use crate::cache::ServerCache;
-use crate::control::{plan_target_masked, reconcile, ControlConfig, Controller, ReplanReason};
+use crate::control::reconcile::{self, ServerDelta};
+use crate::control::{plan_target_masked, ControlConfig, Controller, ReplanReason};
 use crate::error::RuntimeError;
 use crate::event::{EventKind, EventQueue};
 use crate::faults::{FaultConfig, FaultKind, RecoveryMode};
 use crate::metrics::{RequestOutcome, ServeMetrics};
-use crate::persist::checkpoint::{CheckpointSaver, CheckpointState, MobilityState};
+use crate::persist::checkpoint::{CheckpointState, MobilityState};
 use crate::persist::journal::{recover_journal, JournalHeader, JournalWriter};
 use crate::persist::{Checkpoint, PersistConfig, PersistError, ServedRecord};
 use crate::policy::EvictionPolicy;
+use crate::shard::ShardedServeEngine;
 use crate::transfer::BackhaulLink;
 use crate::workload::Workload;
 
@@ -291,24 +303,170 @@ pub struct ServeReport {
     pub final_caches: Vec<Vec<ModelId>>,
 }
 
+/// The discrete-event serving engine over the whole scenario — the
+/// region coordinator at `R = 1`, journaling to `journal.tcj`. See the
+/// module docs for the service semantics.
+pub struct ServeEngine<'a> {
+    coordinator: ShardedServeEngine<'a>,
+}
+
+impl<'a> ServeEngine<'a> {
+    /// Prepares an engine over `scenario` with empty caches.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::InvalidConfig`] for an invalid
+    /// configuration and propagates scenario errors.
+    pub fn new(
+        scenario: &'a Scenario,
+        policy: &'a dyn EvictionPolicy,
+        config: ServeConfig,
+    ) -> Result<Self, RuntimeError> {
+        let coordinator = ShardedServeEngine::build(scenario, policy, config, 1, false)?;
+        Ok(Self { coordinator })
+    }
+
+    /// Replaces the request workload — e.g. with a piecewise
+    /// non-stationary [`Workload`] whose popularity shifts at epoch
+    /// boundaries (the demand drift the controller exists to chase).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::InvalidConfig`] when the workload's user
+    /// count disagrees with the scenario's.
+    pub fn set_workload(&mut self, workload: Workload) -> Result<(), RuntimeError> {
+        self.coordinator.set_workload(workload)
+    }
+
+    /// Schedules an *oracle* reconciliation: at simulated time `at_s`
+    /// the caches start converging towards `target` through the same
+    /// staged fill/evict pipeline a controller re-plan uses. This is the
+    /// upper-bound baseline of the `serve-adapt` study — the target was
+    /// computed with knowledge the online controller cannot have, but
+    /// the reconfiguration bytes and latency are paid all the same.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::InvalidConfig`] for a non-finite or
+    /// negative time or a target whose dimensions disagree with the
+    /// scenario.
+    pub fn schedule_reconcile(&mut self, at_s: f64, target: Placement) -> Result<(), RuntimeError> {
+        self.coordinator.schedule_reconcile(at_s, target)
+    }
+
+    /// Warm-starts the caches from an offline placement (e.g. a
+    /// TrimCaching Spec/Gen outcome): every `x_{m,i} = 1` entry is
+    /// preloaded, skipping models that no longer fit.
+    ///
+    /// # Errors
+    ///
+    /// Propagates scenario errors for mismatched placements.
+    pub fn warm_start(&mut self, placement: &Placement) -> Result<(), RuntimeError> {
+        self.coordinator.warm_start(placement)
+    }
+
+    /// Runs the engine to completion and returns the report.
+    ///
+    /// # Errors
+    ///
+    /// Propagates scenario errors (which indicate an internally
+    /// inconsistent snapshot) and, for persistent runs, journal and
+    /// checkpoint I/O failures.
+    pub fn run(self) -> Result<ServeReport, RuntimeError> {
+        self.coordinator.run()
+    }
+
+    /// Runs the engine up to simulated time `stop_s` and then drops it —
+    /// the durable-run analogue of the process being killed at `stop_s`.
+    /// The journal is flushed and every checkpoint boundary at or before
+    /// `stop_s` is on disk; continue with [`ServeEngine::resume`].
+    ///
+    /// # Errors
+    ///
+    /// Rejects a non-finite or negative stop time and propagates the
+    /// same errors as [`ServeEngine::run`].
+    pub fn run_until(self, stop_s: f64) -> Result<(), RuntimeError> {
+        self.coordinator.run_until(stop_s)
+    }
+
+    /// Resumes an interrupted durable run from the latest checkpoint
+    /// and journal in `persist.dir`.
+    ///
+    /// The journal is recovered leniently — a torn final record (crash
+    /// mid-write) is truncated away — and every intact record beyond the
+    /// checkpoint's journal offset is queued for verification: the
+    /// resumed run must re-serve those requests *identically* before it
+    /// appends anything new, so [`run`](ServeEngine::run) after resume
+    /// produces a report and journal byte-identical to the uninterrupted
+    /// run's.
+    ///
+    /// # Errors
+    ///
+    /// Fails on I/O errors, corrupt files, or a policy/seed mismatch
+    /// between `policy`, the checkpoint and the journal header.
+    pub fn resume(
+        scenario: &'a Scenario,
+        policy: &'a dyn EvictionPolicy,
+        persist: PersistConfig,
+    ) -> Result<Self, RuntimeError> {
+        persist.validate()?;
+        let cp = single_region(Checkpoint::load(&persist.checkpoint_path())?, "resume")?;
+        let coordinator = ShardedServeEngine::restore(scenario, policy, &cp, Some(persist), false)?;
+        Ok(Self { coordinator })
+    }
+
+    /// Forks a checkpoint into a fresh *in-memory* engine — no journal,
+    /// no further checkpoints — under any eviction policy, including one
+    /// different from the original run's. Two forks of the same
+    /// checkpoint share their entire past and diverge only through their
+    /// policies: diffing their reports isolates the policy's effect on
+    /// the deterministic future (the `fork-ab` study).
+    ///
+    /// # Errors
+    ///
+    /// Fails on I/O errors, a corrupt checkpoint, or a checkpoint whose
+    /// dimensions disagree with `scenario`.
+    pub fn fork(
+        scenario: &'a Scenario,
+        policy: &'a dyn EvictionPolicy,
+        checkpoint_path: &Path,
+    ) -> Result<Self, RuntimeError> {
+        let cp = single_region(Checkpoint::load(checkpoint_path)?, "fork")?;
+        let coordinator = ShardedServeEngine::restore(scenario, policy, &cp, None, false)?;
+        Ok(Self { coordinator })
+    }
+}
+
+/// Passes a checkpoint of a whole-scenario run through and rejects a
+/// sharded one, which only [`ShardedServeEngine::resume`] can continue.
+fn single_region(cp: Checkpoint, verb: &str) -> Result<Checkpoint, RuntimeError> {
+    if cp.num_shards() != 1 {
+        return Err(PersistError::Mismatch {
+            reason: format!(
+                "checkpoint captures {} shards; {verb} sharded runs through \
+                 ShardedServeEngine::resume",
+                cp.num_shards()
+            ),
+        }
+        .into());
+    }
+    Ok(cp)
+}
+
 /// The mutable per-run machinery threaded through the event loop: the
 /// seeded RNG, the pending event queue and (when mobility is on) the
-/// kinematic mobility model. Checkpoints capture it wholesale;
-/// [`ServeEngine::resume`] and [`ServeEngine::fork`] rebuild it.
+/// kinematic mobility model. Checkpoints capture it wholesale; the
+/// coordinator's restore path rebuilds it.
 pub(crate) struct RunState {
-    pub(crate) rng: StdRng,
-    pub(crate) queue: EventQueue,
+    rng: StdRng,
+    queue: EventQueue,
     pub(crate) mobility: Option<MobilityModel>,
 }
 
-/// Membership of one engine in a region-sharded run: which servers this
-/// shard simulates and which users it currently owns. An engine with no
-/// spec (`shard: None`) is the classic single-threaded engine; a shard
-/// with *all* servers and users behaves identically to it.
+/// Membership of one region: which servers it simulates and which
+/// users it currently owns. At `R = 1` both masks are all-true, which
+/// makes the region the classic whole-scenario engine.
 pub(crate) struct ShardSpec {
-    /// Shard id — also the offset added to the run seed for this
-    /// shard's RNG stream.
-    pub(crate) id: usize,
     /// `owned_users[k]`: this shard owns user `k`'s request stream,
     /// kinematics and handover accounting. Ownership migrates between
     /// shards at mobility boundaries as users cross strip borders.
@@ -318,25 +476,22 @@ pub(crate) struct ShardSpec {
     pub(crate) member_servers: Vec<bool>,
 }
 
-/// Why [`ServeEngine::drive`] stopped pumping events.
+/// Why [`Region::drive`] stopped pumping events.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum DriveStop {
     /// No pending event fires at or before the requested stop time.
     Horizon,
-    /// Shard mode only: a mobility boundary fired at the carried time.
-    /// The shard stepped its kinematics and scheduled the next slot,
-    /// but the position update, handover recount and user-ownership
-    /// migration are cross-shard work the coordinator must merge before
-    /// this queue drains any further.
+    /// A mobility boundary fired at the carried time. The region
+    /// stepped its kinematics and scheduled the next slot; applying the
+    /// slot to the snapshot, the handover recount and user-ownership
+    /// migration are the coordinator's work, done before this queue
+    /// drains any further.
     MobilityBoundary(f64),
 }
 
-/// Journal and checkpoint plumbing of a durable run.
-struct PersistState {
-    config: PersistConfig,
+/// The journal of a durable region.
+struct JournalState {
     writer: JournalWriter,
-    /// Simulated time of the next checkpoint boundary.
-    next_checkpoint_s: f64,
     /// Journal records beyond the checkpoint this run resumed from,
     /// paired with each record's end offset in the journal file. The
     /// resumed run must re-serve them identically — verified one by
@@ -346,12 +501,9 @@ struct PersistState {
     /// Checkpoints written mid-verification record this position rather
     /// than the file length, so their journal suffix stays correct.
     verified_through: u64,
-    /// Background checkpoint writer — disk latency stays off the
-    /// serving path.
-    saver: CheckpointSaver,
 }
 
-impl PersistState {
+impl JournalState {
     /// The journal position a checkpoint taken now should record.
     fn journal_position(&self) -> u64 {
         if self.verify.is_empty() {
@@ -383,30 +535,27 @@ impl PersistState {
     }
 }
 
-/// The discrete-event serving engine. See the module docs for the
-/// service semantics.
-pub struct ServeEngine<'a> {
+/// One region of a run: the caches, links, controller, fault state and
+/// journal of its member servers and the request streams of its owned
+/// users. The coordinator drives it between mobility boundaries and
+/// lends it the run's radio snapshot read-only.
+pub(crate) struct Region<'a> {
     scenario: &'a Scenario,
     policy: &'a dyn EvictionPolicy,
     config: ServeConfig,
-    current: Scenario,
     caches: Vec<ServerCache<'a>>,
     /// Per-server congestion-aware cloud-ingest links.
     links: Vec<BackhaulLink>,
     workload: Workload,
     metrics: ServeMetrics,
-    /// Per-user primary server (highest-rate covering server) under the
-    /// current snapshot; used to count handovers across mobility slots.
-    primary: Vec<Option<usize>>,
     /// The online re-placement controller (present when
     /// [`ServeConfig::control`] is set).
     controller: Option<Controller>,
     /// Pre-scheduled oracle reconciliations: `(time, target placement)`
     /// pairs staged through the same pipeline as controller re-plans.
     scheduled: Vec<(f64, Placement)>,
-    /// Durable-run journal/checkpoint plumbing, present when
-    /// [`ServeConfig::persist`] is set.
-    persist: Option<PersistState>,
+    /// The journal, present once a durable run has begun or resumed.
+    journal: Option<JournalState>,
     /// Per-server down mask driven by the fault schedule (all `false`
     /// for fault-free runs — the serve path is shared).
     server_down: Vec<bool>,
@@ -417,25 +566,16 @@ pub struct ServeEngine<'a> {
     /// (warm start or re-plan) — the target recovered servers self-heal
     /// back to.
     last_target: Option<Placement>,
-    /// Run state restored from a checkpoint, consumed by the next
-    /// [`ServeEngine::run`] or [`ServeEngine::run_until`] call.
-    resume_state: Option<RunState>,
-    /// Shard membership when this engine is one region of a sharded
-    /// run; `None` is the classic whole-scenario engine.
-    shard: Option<ShardSpec>,
+    shard: ShardSpec,
 }
 
-impl<'a> ServeEngine<'a> {
-    /// Prepares an engine over `scenario` with empty caches.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::InvalidConfig`] for an invalid
-    /// configuration and propagates scenario errors.
-    pub fn new(
+impl<'a> Region<'a> {
+    /// Prepares a region over `scenario` with empty caches.
+    pub(crate) fn new(
         scenario: &'a Scenario,
         policy: &'a dyn EvictionPolicy,
         config: ServeConfig,
+        shard: ShardSpec,
     ) -> Result<Self, RuntimeError> {
         config.validate()?;
         let workload = Workload::from_demand(scenario.demand(), config.request_rate_hz)?;
@@ -449,7 +589,6 @@ impl<'a> ServeEngine<'a> {
             .iter()
             .map(|_| BackhaulLink::new(config.cloud_ingest_bps, config.congestion_aware))
             .collect::<Result<Vec<_>, _>>()?;
-        let primary = primary_servers(scenario)?;
         if let Some(faults) = &config.faults {
             faults.validate_servers(scenario.num_servers())?;
         }
@@ -463,58 +602,37 @@ impl<'a> ServeEngine<'a> {
             policy,
             metrics: ServeMetrics::new(config.window_s),
             config,
-            current: scenario.clone(),
             caches,
             links,
             workload,
-            primary,
             controller,
             scheduled: Vec::new(),
-            persist: None,
+            journal: None,
             server_down: vec![false; num_servers],
             down_servers: 0,
             last_target: None,
-            resume_state: None,
-            shard: None,
+            shard,
         })
     }
 
-    /// Marks this engine as one shard of a sharded run. The spec narrows
-    /// the serve path to member servers and the request/mobility streams
-    /// to owned users; everything else (snapshot, RNG discipline, event
-    /// ordering) is untouched, which is what makes a single all-owning
-    /// shard bit-identical to the classic engine.
-    pub(crate) fn set_shard(&mut self, spec: ShardSpec) {
-        self.shard = Some(spec);
-    }
-
-    /// Mutable access to the shard spec (the coordinator flips ownership
-    /// bits during migration).
-    pub(crate) fn shard_spec_mut(&mut self) -> Option<&mut ShardSpec> {
-        self.shard.as_mut()
-    }
-
-    /// True when this engine simulates server `m` (always, outside shard
-    /// mode).
+    /// True when this region simulates server `m`.
     fn is_member(&self, m: usize) -> bool {
-        self.shard.as_ref().is_none_or(|s| s.member_servers[m])
+        self.shard.member_servers[m]
     }
 
-    /// True when this engine owns user `k`'s streams (always, outside
-    /// shard mode).
+    /// True when this region owns user `k`'s streams.
     fn owns_user(&self, k: usize) -> bool {
-        self.shard.as_ref().is_none_or(|s| s.owned_users[k])
+        self.shard.owned_users[k]
     }
 
-    /// Replaces the request workload — e.g. with a piecewise
-    /// non-stationary [`Workload`] whose popularity shifts at epoch
-    /// boundaries (the demand drift the controller exists to chase).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::InvalidConfig`] when the workload's user
-    /// count disagrees with the scenario's.
-    pub fn set_workload(&mut self, workload: Workload) -> Result<(), RuntimeError> {
+    /// Hands user `k`'s streams to or away from this region (migration
+    /// at a mobility boundary).
+    pub(crate) fn set_owned(&mut self, k: usize, owned: bool) {
+        self.shard.owned_users[k] = owned;
+    }
+
+    /// See [`ServeEngine::set_workload`].
+    pub(crate) fn set_workload(&mut self, workload: Workload) -> Result<(), RuntimeError> {
         if workload.num_users() != self.scenario.num_users() {
             return Err(RuntimeError::InvalidConfig {
                 reason: format!(
@@ -528,19 +646,12 @@ impl<'a> ServeEngine<'a> {
         Ok(())
     }
 
-    /// Schedules an *oracle* reconciliation: at simulated time `at_s`
-    /// the caches start converging towards `target` through the same
-    /// staged fill/evict pipeline a controller re-plan uses. This is the
-    /// upper-bound baseline of the `serve-adapt` study — the target was
-    /// computed with knowledge the online controller cannot have, but
-    /// the reconfiguration bytes and latency are paid all the same.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::InvalidConfig`] for a non-finite or
-    /// negative time or a target whose dimensions disagree with the
-    /// scenario.
-    pub fn schedule_reconcile(&mut self, at_s: f64, target: Placement) -> Result<(), RuntimeError> {
+    /// See [`ServeEngine::schedule_reconcile`].
+    pub(crate) fn schedule_reconcile(
+        &mut self,
+        at_s: f64,
+        target: Placement,
+    ) -> Result<(), RuntimeError> {
         if !(at_s.is_finite() && at_s >= 0.0) {
             return Err(RuntimeError::InvalidConfig {
                 reason: format!("reconcile time must be non-negative and finite, got {at_s}"),
@@ -563,17 +674,10 @@ impl<'a> ServeEngine<'a> {
         Ok(())
     }
 
-    /// Warm-starts the caches from an offline placement (e.g. a
-    /// TrimCaching Spec/Gen outcome): every `x_{m,i} = 1` entry is
-    /// preloaded, skipping models that no longer fit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scenario errors for mismatched placements.
-    pub fn warm_start(&mut self, placement: &Placement) -> Result<(), RuntimeError> {
+    /// Preloads the member rows of `placement` (the rest is other
+    /// regions' warm start); see [`ServeEngine::warm_start`].
+    pub(crate) fn warm_start(&mut self, placement: &Placement) -> Result<(), RuntimeError> {
         for m in 0..self.caches.len() {
-            // In shard mode only member servers are preloaded; the rest
-            // of the placement is other shards' warm start.
             if !self.is_member(m) {
                 continue;
             }
@@ -592,8 +696,8 @@ impl<'a> ServeEngine<'a> {
     /// Builds the initial run state — the seeded RNG, the primed event
     /// queue and the mobility model — exactly as every pre-persistence
     /// run did (the RNG draw order is part of the determinism contract),
-    /// and opens the journal when persistence is configured.
-    pub(crate) fn begin(&mut self) -> Result<RunState, RuntimeError> {
+    /// and creates the journal at `journal_path` for durable runs.
+    pub(crate) fn begin(&mut self, journal_path: Option<&Path>) -> Result<RunState, RuntimeError> {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut queue = EventQueue::new();
         let mobility = if self.config.mobility_slot_s > 0.0 {
@@ -606,10 +710,10 @@ impl<'a> ServeEngine<'a> {
             None
         };
 
-        // Every shard draws the full per-user interarrival sequence (one
-        // draw per user, like the classic engine) but schedules requests
-        // only for the users it owns — identical draw counts keep a
-        // single all-owning shard on the classic RNG stream.
+        // Every region draws the full per-user interarrival sequence
+        // (one draw per user) but schedules requests only for the users
+        // it owns — identical draw counts keep an all-owning region on
+        // the classic RNG stream.
         for k in 0..self.scenario.num_users() {
             let t = self.workload.next_interarrival_s(&mut rng);
             if self.owns_user(k) {
@@ -624,16 +728,15 @@ impl<'a> ServeEngine<'a> {
         }
         if let Some(faults) = &self.config.faults {
             for (index, spec) in faults.timeline.iter().enumerate() {
-                // A shard replays only the transitions of its member
-                // servers; the rest belong to other shards' timelines.
+                // A region replays only the transitions of its member
+                // servers; the rest belong to other regions' timelines.
                 if self.is_member(spec.kind.server()) {
                     queue.push(spec.at_s, EventKind::FaultTransition { index });
                 }
             }
         }
 
-        if let Some(pc) = self.config.persist.clone() {
-            std::fs::create_dir_all(&pc.dir).map_err(|e| PersistError::io(&pc.dir, e))?;
+        if let Some(path) = journal_path {
             let header = JournalHeader {
                 seed: self.config.seed,
                 policy: self.policy.name().to_string(),
@@ -641,18 +744,10 @@ impl<'a> ServeEngine<'a> {
                 duration_s: self.config.duration_s,
                 granularity: self.config.granularity,
             };
-            let journal_path = match &self.shard {
-                Some(spec) => pc.journal_shard_path(spec.id),
-                None => pc.journal_path(),
-            };
-            let writer = JournalWriter::create(&journal_path, &header)?;
-            self.persist = Some(PersistState {
-                writer,
-                next_checkpoint_s: 0.0,
+            self.journal = Some(JournalState {
+                writer: JournalWriter::create(path, &header)?,
                 verify: VecDeque::new(),
                 verified_through: 0,
-                saver: CheckpointSaver::default(),
-                config: pc,
             });
         }
 
@@ -663,22 +758,23 @@ impl<'a> ServeEngine<'a> {
         })
     }
 
-    /// Pumps the event loop until no pending event fires at or before
-    /// `stop_s`, writing every due checkpoint boundary on the way.
-    /// Events are only ever *peeked* past the horizon, never popped and
-    /// dropped, so a stopped run's queue is byte-identical to the same
-    /// moment of an uninterrupted run.
+    /// Pumps the event loop under the read-only `snapshot` until no
+    /// pending event fires at or before `stop_s`, or until a mobility
+    /// boundary hands control back to the coordinator. Events are only
+    /// ever *peeked* past the horizon, never popped and dropped, so a
+    /// stopped run's queue is byte-identical to the same moment of an
+    /// uninterrupted run.
     pub(crate) fn drive(
         &mut self,
         state: &mut RunState,
+        snapshot: &Scenario,
         stop_s: f64,
     ) -> Result<DriveStop, RuntimeError> {
-        loop {
-            self.write_due_checkpoints(state, stop_s)?;
-            match state.queue.peek() {
-                Some(event) if event.time_s <= stop_s => {}
-                _ => break,
-            }
+        while state
+            .queue
+            .peek()
+            .is_some_and(|event| event.time_s <= stop_s)
+        {
             // Peeked above; a concurrent mutation is impossible, but a
             // missing event is a clean loop exit, not a panic.
             let Some(event) = state.queue.pop() else {
@@ -686,15 +782,15 @@ impl<'a> ServeEngine<'a> {
             };
             match event.kind {
                 EventKind::Request { user } => {
-                    // A user who migrated to another shard leaves the old
-                    // owner's pending request behind as a tombstone; skip
-                    // it *before* any RNG draw so the shard's stream is
-                    // exactly what its owned users produce.
+                    // A user who migrated to another region leaves the
+                    // old owner's pending request behind as a tombstone;
+                    // skip it *before* any RNG draw so the region's
+                    // stream is exactly what its owned users produce.
                     if !self.owns_user(user.index()) {
                         continue;
                     }
                     let model = self.workload.draw_model(user, event.time_s, &mut state.rng);
-                    self.serve_request(user, model, event.time_s, &mut state.queue)?;
+                    self.serve_request(snapshot, user, model, event.time_s, &mut state.queue)?;
                     let gap = self.workload.next_interarrival_s(&mut state.rng);
                     state
                         .queue
@@ -715,7 +811,7 @@ impl<'a> ServeEngine<'a> {
                     }
                 }
                 EventKind::ControlTick => {
-                    self.control_tick(event.time_s, &mut state.queue)?;
+                    self.control_tick(snapshot, event.time_s, &mut state.queue)?;
                 }
                 EventKind::ScheduledReconcile { index } => {
                     let target = self.scheduled[index].1.clone();
@@ -753,114 +849,63 @@ impl<'a> ServeEngine<'a> {
                         event.time_s + self.config.mobility_slot_s,
                         EventKind::MobilitySlot,
                     );
-                    if self.shard.is_some() {
-                        // Co-owned users' fresh positions live in *their*
-                        // owners' kinematics: hand control back so the
-                        // coordinator can assemble the global position
-                        // vector and run the merge on every shard.
-                        return Ok(DriveStop::MobilityBoundary(event.time_s));
-                    }
-                    let positions = mobility.positions();
-                    self.apply_slot_positions(&positions)?;
+                    return Ok(DriveStop::MobilityBoundary(event.time_s));
                 }
             }
         }
         Ok(DriveStop::Horizon)
     }
 
-    /// Applies one mobility slot's (globally assembled) positions to the
-    /// radio snapshot: incremental snapshot evolution — only the moved
-    /// users' rows (and the rows of users sharing a reallocated server)
-    /// are re-derived, bit-identical to a full rebuild but O(moved) per
-    /// slot — followed by the handover recount over the refreshed users.
-    /// In shard mode only owned users are counted (each user's handovers
-    /// belong to exactly one shard), but every refreshed user's primary
-    /// is tracked so the assignment survives ownership migration.
-    pub(crate) fn apply_slot_positions(&mut self, positions: &[Point]) -> Result<(), RuntimeError> {
-        let delta = self.current.update_user_positions(positions)?;
+    /// Accounts one mobility slot the coordinator applied to the
+    /// snapshot: one snapshot update per region, and the refresh and
+    /// handover of every refreshed user this region owns. `refreshed`
+    /// pairs each refreshed user with whether their primary changed.
+    pub(crate) fn note_slot(&mut self, refreshed: &[(usize, bool)]) {
         self.metrics.snapshot_rebuilds += 1;
-        // Primary servers are a pure function of a user's covering set
-        // and rates, both unchanged outside the refreshed set — recount
-        // handovers from the delta instead of re-deriving all K
-        // assignments.
-        for &k in delta.refreshed_users() {
-            let fresh = primary_server_for(&self.current, k)?;
+        for &(k, handover) in refreshed {
             if self.owns_user(k) {
                 self.metrics.users_refreshed += 1;
-                if self.primary[k] != fresh {
-                    self.metrics.handovers += 1;
-                }
+                self.metrics.handovers += u64::from(handover);
             }
-            self.primary[k] = fresh;
+        }
+    }
+
+    /// Flushes the journal so the file covers everything served so far.
+    pub(crate) fn flush_journal(&mut self) -> Result<(), RuntimeError> {
+        if let Some(journal) = self.journal.as_mut() {
+            journal.writer.flush()?;
         }
         Ok(())
     }
 
-    /// Writes every checkpoint boundary that is due: a boundary `T` is
-    /// written once no pending event fires at or before `T` (events
-    /// *at* the boundary are simulated state of the boundary, so they
-    /// process first) and `T` is within the current horizon. The
-    /// journal is flushed first so the on-disk journal always covers
-    /// the offset the checkpoint records.
-    fn write_due_checkpoints(&mut self, state: &RunState, stop_s: f64) -> Result<(), RuntimeError> {
-        // Shards never write checkpoint files of their own: the
-        // coordinator captures every shard at the same boundary and
-        // writes one multi-shard checkpoint.
-        if self.shard.is_some() {
-            return Ok(());
-        }
-        loop {
-            let Some(p) = self.persist.as_ref() else {
-                return Ok(());
-            };
-            let due = p.next_checkpoint_s;
-            if due > stop_s || state.queue.peek().is_some_and(|ev| ev.time_s <= due) {
-                return Ok(());
-            }
-            let path = p.config.checkpoint_path();
-            let every_s = p.config.checkpoint_every_s;
-            let fsync = p.config.fsync;
-            let journal_offset = match self.persist.as_mut() {
-                Some(p) => {
-                    p.writer.flush()?;
-                    p.journal_position()
-                }
-                // Unreachable (checked at the top of the loop), but a
-                // clean return beats a panic in the serving path.
-                None => return Ok(()),
-            };
-            let checkpoint = Checkpoint {
-                shards: vec![self.capture(due, state, journal_offset)],
-            };
-            if let Some(p) = self.persist.as_mut() {
-                p.saver.save(path, checkpoint, fsync)?;
-                p.next_checkpoint_s = due + every_s;
-            }
-        }
-    }
-
-    /// Captures the complete mutable engine state at boundary `time_s`.
-    /// `journal_offset` is the journal position the checkpoint records
-    /// (read by the caller, who owns the persist plumbing).
+    /// Flushes the journal and captures the complete mutable region
+    /// state at boundary `time_s`, together with the coordinator's
+    /// `snapshot` positions and `primary` servers.
     pub(crate) fn capture(
-        &self,
+        &mut self,
         time_s: f64,
         state: &RunState,
-        journal_offset: u64,
-    ) -> CheckpointState {
+        snapshot: &Scenario,
+        primary: &[Option<usize>],
+    ) -> Result<CheckpointState, RuntimeError> {
+        self.flush_journal()?;
+        let journal_offset = self
+            .journal
+            .as_ref()
+            .map_or(0, JournalState::journal_position);
         let (events, next_seq) = state.queue.snapshot();
         let (rate_hz, starts_s, phases, user_class) = self.workload.raw_parts();
         let mut config = self.config.clone();
         config.persist = None;
-        CheckpointState {
+        Ok(CheckpointState {
             time_s,
             policy: self.policy.name().to_string(),
             config,
             rng: state.rng.state(),
             events,
             next_seq,
-            positions: self.current.users().iter().map(|u| u.position()).collect(),
-            primary: self.primary.iter().map(|p| p.map(|m| m as u64)).collect(),
+            positions: snapshot.users().iter().map(|u| u.position()).collect(),
+            primary: primary.iter().map(|p| p.map(|m| m as u64)).collect(),
             caches: self.caches.iter().map(|c| c.snapshot()).collect(),
             links: self.links.iter().map(|l| l.inflight_snapshot()).collect(),
             workload_rate_hz: rate_hz,
@@ -878,46 +923,26 @@ impl<'a> ServeEngine<'a> {
             link_degrades: self.links.iter().map(|l| l.degrade_factor()).collect(),
             last_target: self.last_target.clone(),
             journal_offset,
-        }
+        })
     }
 
-    /// Runs the engine to completion and returns the report.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scenario errors (which indicate an internally
-    /// inconsistent snapshot) and, for persistent runs, journal and
-    /// checkpoint I/O failures.
-    pub fn run(mut self) -> Result<ServeReport, RuntimeError> {
-        let mut state = match self.resume_state.take() {
-            Some(state) => state,
-            None => self.begin()?,
-        };
-        let horizon = self.config.duration_s;
-        self.drive(&mut state, horizon)?;
-        self.finish(horizon)
-    }
-
-    /// The tail of [`ServeEngine::run`]: checks that a resumed run
-    /// re-served its whole journal suffix, flushes persistence, closes
-    /// the metrics windows and builds the report. The sharded
-    /// coordinator calls this per shard after driving them all to the
-    /// horizon.
+    /// The end of a run: checks that a resumed run re-served its whole
+    /// journal suffix, flushes the journal, closes the metrics windows
+    /// and builds the region's report.
     pub(crate) fn finish(mut self, horizon: f64) -> Result<ServeReport, RuntimeError> {
-        if let Some(p) = self.persist.as_mut() {
-            if !p.verify.is_empty() {
+        if let Some(journal) = self.journal.as_ref() {
+            if !journal.verify.is_empty() {
                 return Err(PersistError::Diverged {
                     time_s: horizon,
                     detail: format!(
                         "{} journaled records were never re-served by the resumed run",
-                        p.verify.len()
+                        journal.verify.len()
                     ),
                 }
                 .into());
             }
-            p.writer.flush()?;
-            p.saver.wait()?;
         }
+        self.flush_journal()?;
         self.metrics.finish(horizon);
         Ok(ServeReport {
             policy: self.policy.name().to_string(),
@@ -928,129 +953,98 @@ impl<'a> ServeEngine<'a> {
         })
     }
 
-    /// Flushes this shard's journal and captures its state at boundary
-    /// `time_s` — the coordinator assembles the per-shard states into
-    /// one multi-shard checkpoint file.
-    pub(crate) fn capture_for_checkpoint(
-        &mut self,
-        time_s: f64,
-        state: &RunState,
-    ) -> Result<CheckpointState, RuntimeError> {
-        let journal_offset = match self.persist.as_mut() {
-            Some(p) => {
-                p.writer.flush()?;
-                p.journal_position()
-            }
-            None => 0,
-        };
-        Ok(self.capture(time_s, state, journal_offset))
-    }
-
-    /// Flushes the journal without checkpointing (the sharded analogue
-    /// of the flush classic [`ServeEngine::run_until`] does on exit).
-    pub(crate) fn flush_journal(&mut self) -> Result<(), RuntimeError> {
-        if let Some(p) = self.persist.as_mut() {
-            p.writer.flush()?;
-        }
-        Ok(())
-    }
-
-    /// Takes the run state staged by a checkpoint restore, if any — the
-    /// coordinator drives restored shards through it.
-    pub(crate) fn take_resume_state(&mut self) -> Option<RunState> {
-        self.resume_state.take()
-    }
-
-    /// Draws a fresh interarrival gap for a user this shard just took
+    /// Draws a fresh interarrival gap for a user this region just took
     /// ownership of (migration at a mobility boundary) and schedules
-    /// their next request on the shard's queue.
+    /// their next request on the region's queue.
     pub(crate) fn schedule_user_request(&mut self, state: &mut RunState, user: UserId, now_s: f64) {
         let gap = self.workload.next_interarrival_s(&mut state.rng);
         state.queue.push(now_s + gap, EventKind::Request { user });
     }
 
-    /// Runs the engine up to simulated time `stop_s` and then drops it —
-    /// the durable-run analogue of the process being killed at `stop_s`.
-    /// The journal is flushed and every checkpoint boundary at or before
-    /// `stop_s` is on disk; continue with [`ServeEngine::resume`].
-    ///
-    /// # Errors
-    ///
-    /// Rejects a non-finite or negative stop time and propagates the
-    /// same errors as [`ServeEngine::run`].
-    pub fn run_until(mut self, stop_s: f64) -> Result<(), RuntimeError> {
-        if !(stop_s.is_finite() && stop_s >= 0.0) {
-            return Err(RuntimeError::InvalidConfig {
-                reason: format!("stop time must be non-negative and finite, got {stop_s}"),
-            });
-        }
-        let stop_s = stop_s.min(self.config.duration_s);
-        let mut state = match self.resume_state.take() {
-            Some(state) => state,
-            None => self.begin()?,
-        };
-        self.drive(&mut state, stop_s)?;
-        if let Some(p) = self.persist.as_mut() {
-            p.writer.flush()?;
-            p.saver.wait()?;
-        }
-        Ok(())
-    }
-
-    /// Resumes an interrupted durable run from the latest checkpoint
-    /// and journal in `persist.dir`.
-    ///
-    /// The journal is recovered leniently — a torn final record (crash
-    /// mid-write) is truncated away — and every intact record beyond the
-    /// checkpoint's journal offset is queued for verification: the
-    /// resumed run must re-serve those requests *identically* before it
-    /// appends anything new, so [`run`](ServeEngine::run) after resume
-    /// produces a report and journal byte-identical to the uninterrupted
-    /// run's.
-    ///
-    /// # Errors
-    ///
-    /// Fails on I/O errors, corrupt files, or a policy/seed mismatch
-    /// between `policy`, the checkpoint and the journal header.
-    pub fn resume(
+    /// Rebuilds a region mid-run from its checkpoint state: a fresh
+    /// region over the original scenario with every mutable layer
+    /// overwritten, plus the run state (RNG words, event queue, mobility
+    /// kinematics) to continue from. The snapshot and primary servers
+    /// are the coordinator's to restore.
+    pub(crate) fn restore(
         scenario: &'a Scenario,
         policy: &'a dyn EvictionPolicy,
-        persist: PersistConfig,
-    ) -> Result<Self, RuntimeError> {
-        persist.validate()?;
-        let cp = Checkpoint::load(&persist.checkpoint_path())?;
-        if cp.num_shards() != 1 {
+        state: &CheckpointState,
+        shard: ShardSpec,
+    ) -> Result<(Self, RunState), RuntimeError> {
+        let num_servers = scenario.num_servers();
+        if state.caches.len() != num_servers
+            || state.server_down.len() != num_servers
+            || state.link_degrades.len() != num_servers
+            || state
+                .mobility
+                .as_ref()
+                .is_some_and(|m| m.users.len() != scenario.num_users())
+        {
             return Err(PersistError::Mismatch {
                 reason: format!(
-                    "checkpoint captures {} shards; resume sharded runs through \
-                     ShardedServeEngine::resume",
-                    cp.num_shards()
+                    "checkpoint region state covers {} servers but the scenario has {}, \
+                     or its kinematics miss users",
+                    state.caches.len(),
+                    num_servers
                 ),
             }
             .into());
         }
-        let journal_path = persist.journal_path();
-        Self::resume_shard(scenario, policy, persist, &cp.shards[0], &journal_path)
+        let mut region = Self::new(scenario, policy, state.config.clone(), shard)?;
+        for (cache, snapshot) in region.caches.iter_mut().zip(state.caches.iter()) {
+            cache.restore(snapshot.clone())?;
+        }
+        for (link, inflight) in region.links.iter_mut().zip(state.links.iter()) {
+            link.restore_inflight(inflight.clone());
+        }
+        for (link, &degrade) in region.links.iter_mut().zip(state.link_degrades.iter()) {
+            link.set_degrade_factor(degrade);
+        }
+        region.workload = Workload::from_raw_parts(
+            state.workload_rate_hz,
+            state.workload_starts_s.clone(),
+            state.workload_phases.clone(),
+            state.workload_user_class.clone(),
+        );
+        region.metrics = state.metrics.clone();
+        region.controller = state.controller.clone().map(Controller::restore);
+        region.scheduled = state.scheduled.clone();
+        region.server_down = state.server_down.clone();
+        region.down_servers = state.server_down.iter().filter(|&&d| d).count();
+        region.last_target = state.last_target.clone();
+        let mobility = match &state.mobility {
+            Some(m) => Some(MobilityModel::new(
+                m.users.clone(),
+                DeploymentArea::new(region.config.area_side_m)
+                    .map_err(trimcaching_scenario::ScenarioError::from)?,
+                m.slot_seconds,
+            )),
+            None => None,
+        };
+        let run_state = RunState {
+            rng: StdRng::from_state(state.rng),
+            queue: EventQueue::restore(state.events.clone(), state.next_seq),
+            mobility,
+        };
+        Ok((region, run_state))
     }
 
-    /// Rebuilds one engine from an already-decoded checkpoint state plus
-    /// its journal — the shared tail of [`ServeEngine::resume`] (which
-    /// passes the single state of a classic checkpoint) and
-    /// `ShardedServeEngine::resume` (which passes each shard's state and
-    /// per-shard journal).
-    pub(crate) fn resume_shard(
-        scenario: &'a Scenario,
-        policy: &'a dyn EvictionPolicy,
-        persist: PersistConfig,
-        state: &CheckpointState,
+    /// Reopens this region's journal at `journal_path` for a resumed
+    /// run, after checking that it and the checkpoint `state` belong to
+    /// the same policy and seed. Every journaled record beyond the
+    /// checkpoint is queued for verification.
+    pub(crate) fn reopen_journal(
+        &mut self,
         journal_path: &Path,
-    ) -> Result<Self, RuntimeError> {
-        if state.policy != policy.name() {
+        state: &CheckpointState,
+    ) -> Result<(), RuntimeError> {
+        if state.policy != self.policy.name() {
             return Err(PersistError::Mismatch {
                 reason: format!(
                     "checkpoint was taken under policy '{}' but resume was asked to run '{}'",
                     state.policy,
-                    policy.name()
+                    self.policy.name()
                 ),
             }
             .into());
@@ -1085,151 +1079,31 @@ impl<'a> ServeEngine<'a> {
             .filter(|&(_, end)| end > state.journal_offset)
             .collect();
         // Reopening truncates any torn tail before appends continue.
-        let writer = JournalWriter::reopen(journal_path, recovered.valid_len)?;
-        let mut engine = Self::restore_state(scenario, policy, state)?;
-        engine.persist = Some(PersistState {
-            writer,
-            next_checkpoint_s: state.time_s + persist.checkpoint_every_s,
+        self.journal = Some(JournalState {
+            writer: JournalWriter::reopen(journal_path, recovered.valid_len)?,
             verify,
             verified_through: state.journal_offset,
-            saver: CheckpointSaver::default(),
-            config: persist.clone(),
         });
-        engine.config.persist = Some(persist);
-        Ok(engine)
+        Ok(())
     }
 
-    /// Forks a checkpoint into a fresh *in-memory* engine — no journal,
-    /// no further checkpoints — under any eviction policy, including one
-    /// different from the original run's. Two forks of the same
-    /// checkpoint share their entire past and diverge only through their
-    /// policies: diffing their reports isolates the policy's effect on
-    /// the deterministic future (the `fork-ab` study).
-    ///
-    /// # Errors
-    ///
-    /// Fails on I/O errors, a corrupt checkpoint, or a checkpoint whose
-    /// dimensions disagree with `scenario`.
-    pub fn fork(
-        scenario: &'a Scenario,
-        policy: &'a dyn EvictionPolicy,
-        checkpoint_path: &Path,
-    ) -> Result<Self, RuntimeError> {
-        let cp = Checkpoint::load(checkpoint_path)?;
-        if cp.num_shards() != 1 {
-            return Err(PersistError::Mismatch {
-                reason: format!(
-                    "checkpoint captures {} shards; fork a sharded run through \
-                     ShardedServeEngine::resume",
-                    cp.num_shards()
-                ),
-            }
-            .into());
-        }
-        Self::restore_state(scenario, policy, &cp.shards[0])
-    }
-
-    /// Rebuilds an engine mid-run from one shard's checkpoint state: a
-    /// fresh engine over the original scenario, every mutable layer
-    /// overwritten with the checkpointed state, and the run state (RNG
-    /// words, event queue, mobility kinematics) staged for the next
-    /// `run`/`run_until` call.
-    fn restore_state(
-        scenario: &'a Scenario,
-        policy: &'a dyn EvictionPolicy,
-        state: &CheckpointState,
-    ) -> Result<Self, RuntimeError> {
-        if state.positions.len() != scenario.num_users()
-            || state.caches.len() != scenario.num_servers()
-        {
-            return Err(PersistError::Mismatch {
-                reason: format!(
-                    "checkpoint captured {} users / {} servers but the scenario has {} / {}",
-                    state.positions.len(),
-                    state.caches.len(),
-                    scenario.num_users(),
-                    scenario.num_servers()
-                ),
-            }
-            .into());
-        }
-        let mut engine = Self::new(scenario, policy, state.config.clone())?;
-        // One-shot position update — bit-identical to the incremental
-        // slot-by-slot evolution that produced the checkpoint (pinned by
-        // `incremental_slots_match_full_rebuild_serving`).
-        engine.current.update_user_positions(&state.positions)?;
-        engine.primary = state
-            .primary
-            .iter()
-            .map(|p| p.map(|m| m as usize))
-            .collect();
-        for (cache, snapshot) in engine.caches.iter_mut().zip(state.caches.iter()) {
-            cache.restore(snapshot.clone())?;
-        }
-        for (link, inflight) in engine.links.iter_mut().zip(state.links.iter()) {
-            link.restore_inflight(inflight.clone());
-        }
-        engine.workload = Workload::from_raw_parts(
-            state.workload_rate_hz,
-            state.workload_starts_s.clone(),
-            state.workload_phases.clone(),
-            state.workload_user_class.clone(),
-        );
-        engine.metrics = state.metrics.clone();
-        engine.controller = state.controller.clone().map(Controller::restore);
-        engine.scheduled = state.scheduled.clone();
-        if state.server_down.len() != scenario.num_servers()
-            || state.link_degrades.len() != scenario.num_servers()
-        {
-            return Err(PersistError::Mismatch {
-                reason: format!(
-                    "checkpoint fault state covers {} servers but the scenario has {}",
-                    state.server_down.len(),
-                    scenario.num_servers()
-                ),
-            }
-            .into());
-        }
-        engine.server_down = state.server_down.clone();
-        engine.down_servers = state.server_down.iter().filter(|&&d| d).count();
-        for (link, &degrade) in engine.links.iter_mut().zip(state.link_degrades.iter()) {
-            link.set_degrade_factor(degrade);
-        }
-        engine.last_target = state.last_target.clone();
-        let mobility = match &state.mobility {
-            Some(m) => Some(MobilityModel::new(
-                m.users.clone(),
-                DeploymentArea::new(engine.config.area_side_m)
-                    .map_err(trimcaching_scenario::ScenarioError::from)?,
-                m.slot_seconds,
-            )),
-            None => None,
-        };
-        engine.resume_state = Some(RunState {
-            rng: StdRng::from_state(state.rng),
-            queue: EventQueue::restore(state.events.clone(), state.next_seq),
-            mobility,
-        });
-        Ok(engine)
-    }
-
-    /// Serves one request under the current snapshot.
+    /// Serves one request under the current `snapshot`.
     fn serve_request(
         &mut self,
+        snapshot: &Scenario,
         user: UserId,
         model: ModelId,
         now_s: f64,
         queue: &mut EventQueue,
     ) -> Result<(), RuntimeError> {
-        let current = &self.current;
         let evaluator = LatencyEvaluator::new(
-            current.library(),
-            current.demand(),
-            current.coverage(),
-            current.backhaul(),
-            current.rates(),
+            snapshot.library(),
+            snapshot.demand(),
+            snapshot.coverage(),
+            snapshot.backhaul(),
+            snapshot.rates(),
         )?;
-        let eligibility = current.eligibility();
+        let eligibility = snapshot.eligibility();
 
         // Lowest-latency eligible server overall, and among caches
         // holding the model — both fault-obliviously (what a static
@@ -1243,7 +1117,7 @@ impl<'a> ServeEngine<'a> {
         let mut best_up_any: Option<(f64, usize)> = None;
         let mut best_up_hit: Option<(f64, usize)> = None;
         for m in eligibility.servers_for(user, model) {
-            // Candidates outside this shard's region are other shards'
+            // Candidates outside this region are other regions'
             // capacity — invisible here, like the planner mask.
             if !self.is_member(m) {
                 continue;
@@ -1322,8 +1196,8 @@ impl<'a> ServeEngine<'a> {
                 self.metrics.latency_degraded.record(latency);
             }
         }
-        if let Some(p) = self.persist.as_mut() {
-            p.note_served(&ServedRecord {
+        if let Some(journal) = self.journal.as_mut() {
+            journal.note_served(&ServedRecord {
                 time_s: now_s,
                 user: user.0 as u32,
                 model: model.0 as u32,
@@ -1344,7 +1218,12 @@ impl<'a> ServeEngine<'a> {
     /// detector, and — when drift or the epoch timer fired — solve a
     /// re-plan over the estimated demand and stage it through the
     /// reconciler. Always schedules the next tick.
-    fn control_tick(&mut self, now_s: f64, queue: &mut EventQueue) -> Result<(), RuntimeError> {
+    fn control_tick(
+        &mut self,
+        snapshot: &Scenario,
+        now_s: f64,
+        queue: &mut EventQueue,
+    ) -> Result<(), RuntimeError> {
         // Ticks are only scheduled when control is on; if the controller
         // is somehow gone, dropping the tick chain is the safe recovery.
         let Some(controller) = self.controller.as_mut() else {
@@ -1367,20 +1246,15 @@ impl<'a> ServeEngine<'a> {
             // and the demand the controller actually observed — with
             // down servers masked out of the eligibility view, so the
             // planner never spends budget on capacity that cannot serve.
-            // In shard mode non-member servers are masked the same way:
-            // they are capacity some other shard's controller plans.
-            let target = match &self.shard {
-                Some(spec) => {
-                    let mask: Vec<bool> = self
-                        .server_down
-                        .iter()
-                        .zip(&spec.member_servers)
-                        .map(|(&down, &member)| down || !member)
-                        .collect();
-                    plan_target_masked(&self.current, &estimate, &mask)?
-                }
-                None => plan_target_masked(&self.current, &estimate, &self.server_down)?,
-            };
+            // Non-member servers are masked the same way: they are
+            // capacity some other region's controller plans.
+            let mask: Vec<bool> = self
+                .server_down
+                .iter()
+                .zip(&self.shard.member_servers)
+                .map(|(&down, &member)| down || !member)
+                .collect();
+            let target = plan_target_masked(snapshot, &estimate, &mask)?;
             self.metrics.replans_triggered += 1;
             if reason == ReplanReason::Drift {
                 self.metrics.replans_drift += 1;
@@ -1409,40 +1283,11 @@ impl<'a> ServeEngine<'a> {
     ) -> Result<(), RuntimeError> {
         let plan = reconcile::diff(target, &self.caches)?;
         for (m, delta) in plan.servers.iter().enumerate() {
-            if self.server_down[m] || !self.is_member(m) {
-                // A down server cannot receive fills; it converges on
-                // recovery via the self-healing pass instead. A
-                // non-member server is another shard's to reconcile.
-                continue;
-            }
-            for &model in &delta.fills {
-                let standalone_bytes = self
-                    .scenario
-                    .library()
-                    .model_size_bytes(model)
-                    .map_err(trimcaching_scenario::ScenarioError::from)?;
-                if standalone_bytes > self.caches[m].capacity_bytes() {
-                    continue;
-                }
-                while !self.caches[m].fits(model)? {
-                    match reconcile::next_victim(&self.caches[m].view(), &delta.eviction_pool) {
-                        Some(victim) => {
-                            self.caches[m].evict(victim)?;
-                            self.metrics.evictions += 1;
-                            self.metrics.reconcile_evictions += 1;
-                        }
-                        None => break,
-                    }
-                }
-                if !self.caches[m].fits(model)? {
-                    // The pool is exhausted (e.g. pinned by pending
-                    // fills): approach the target, never force it.
-                    continue;
-                }
-                // Same staged pipeline as a demand-miss fill.
-                let (_, wire_bytes) = self.start_fill_pipeline(m, model, now_s, queue)?;
-                self.metrics.reconcile_fills_started += 1;
-                self.metrics.reconcile_bytes_moved += wire_bytes;
+            // A down server cannot receive fills; it converges on
+            // recovery via the self-healing pass instead. A non-member
+            // server is another region's to reconcile.
+            if !self.server_down[m] && self.is_member(m) {
+                self.stage_fills(m, delta, now_s, queue)?;
             }
         }
         self.last_target = Some(target.clone());
@@ -1461,32 +1306,47 @@ impl<'a> ServeEngine<'a> {
         queue: &mut EventQueue,
     ) -> Result<(), RuntimeError> {
         let plan = reconcile::diff(target, &self.caches)?;
-        let Some(delta) = plan.servers.get(server) else {
-            return Ok(());
-        };
+        match plan.servers.get(server) {
+            Some(delta) => self.stage_fills(server, delta, now_s, queue),
+            None => Ok(()),
+        }
+    }
+
+    /// Stages one server's reconciliation fills, evicting from the
+    /// delta's pool until each fits. A fill that cannot be made to fit
+    /// (e.g. the pool is pinned by pending fills) is skipped: the
+    /// caches approach the target, they are never forced.
+    fn stage_fills(
+        &mut self,
+        m: usize,
+        delta: &ServerDelta,
+        now_s: f64,
+        queue: &mut EventQueue,
+    ) -> Result<(), RuntimeError> {
         for &model in &delta.fills {
             let standalone_bytes = self
                 .scenario
                 .library()
                 .model_size_bytes(model)
                 .map_err(trimcaching_scenario::ScenarioError::from)?;
-            if standalone_bytes > self.caches[server].capacity_bytes() {
+            if standalone_bytes > self.caches[m].capacity_bytes() {
                 continue;
             }
-            while !self.caches[server].fits(model)? {
-                match reconcile::next_victim(&self.caches[server].view(), &delta.eviction_pool) {
+            while !self.caches[m].fits(model)? {
+                match reconcile::next_victim(&self.caches[m].view(), &delta.eviction_pool) {
                     Some(victim) => {
-                        self.caches[server].evict(victim)?;
+                        self.caches[m].evict(victim)?;
                         self.metrics.evictions += 1;
                         self.metrics.reconcile_evictions += 1;
                     }
                     None => break,
                 }
             }
-            if !self.caches[server].fits(model)? {
+            if !self.caches[m].fits(model)? {
                 continue;
             }
-            let (_, wire_bytes) = self.start_fill_pipeline(server, model, now_s, queue)?;
+            // Same staged pipeline as a demand-miss fill.
+            let (_, wire_bytes) = self.start_fill_pipeline(m, model, now_s, queue)?;
             self.metrics.reconcile_fills_started += 1;
             self.metrics.reconcile_bytes_moved += wire_bytes;
         }
@@ -1655,25 +1515,43 @@ impl<'a> ServeEngine<'a> {
             .library()
             .model_size_bytes(model)
             .map_err(trimcaching_scenario::ScenarioError::from)?;
-        if standalone_bytes > self.caches[server].capacity_bytes() {
-            return Ok(());
+        self.admit_fill(server, model, standalone_bytes, now_s, queue)?;
+        Ok(())
+    }
+
+    /// The policy path of a fill at server `m`: unless `model` is larger
+    /// than the whole cache (no eviction could make room — bail out
+    /// before the eviction loop would drain the cache for nothing) or
+    /// the policy declines it, evicts policy victims until it fits and
+    /// starts the fill pipeline. Returns the fill's completion time
+    /// when one started.
+    fn admit_fill(
+        &mut self,
+        m: usize,
+        model: ModelId,
+        standalone_bytes: u64,
+        now_s: f64,
+        queue: &mut EventQueue,
+    ) -> Result<Option<f64>, RuntimeError> {
+        if standalone_bytes > self.caches[m].capacity_bytes()
+            || !self.policy.admits(self.caches[m].view(), model)
+        {
+            return Ok(None);
         }
-        if !self.policy.admits(self.caches[server].view(), model) {
-            return Ok(());
-        }
-        while !self.caches[server].fits(model)? {
-            match self.policy.victim(self.caches[server].view(), model) {
+        while !self.caches[m].fits(model)? {
+            match self.policy.victim(self.caches[m].view(), model) {
                 Some(victim) => {
-                    self.caches[server].evict(victim)?;
+                    self.caches[m].evict(victim)?;
                     self.metrics.evictions += 1;
                 }
                 None => break,
             }
         }
-        if self.caches[server].fits(model)? {
-            self.start_fill_pipeline(server, model, now_s, queue)?;
+        if !self.caches[m].fits(model)? {
+            return Ok(None);
         }
-        Ok(())
+        let (eta_s, _) = self.start_fill_pipeline(m, model, now_s, queue)?;
+        Ok(Some(eta_s))
     }
 
     /// Adds one served request's block residency at server `m` to the
@@ -1719,29 +1597,13 @@ impl<'a> ServeEngine<'a> {
             // Join the in-flight fill: every byte is already on the wire.
             return Ok((cache.pending_eta_s(model) - now_s).max(0.0));
         }
-        // A model larger than the whole cache can never fit, no matter
-        // how much is evicted — bail out before the eviction loop would
-        // drain the cache for nothing.
         let standalone_bytes = self
             .scenario
             .library()
             .model_size_bytes(model)
             .map_err(trimcaching_scenario::ScenarioError::from)?;
-        if standalone_bytes <= cache.capacity_bytes() && self.policy.admits(cache.view(), model) {
-            let cache = &mut self.caches[m];
-            while !cache.fits(model)? {
-                match self.policy.victim(cache.view(), model) {
-                    Some(victim) => {
-                        cache.evict(victim)?;
-                        self.metrics.evictions += 1;
-                    }
-                    None => break,
-                }
-            }
-            if cache.fits(model)? {
-                let (eta_s, _) = self.start_fill_pipeline(m, model, now_s, queue)?;
-                return Ok((eta_s - now_s).max(0.0));
-            }
+        if let Some(eta_s) = self.admit_fill(m, model, standalone_bytes, now_s, queue)? {
+            return Ok((eta_s - now_s).max(0.0));
         }
         // Transient fetch: the bytes still cross the backhaul for this
         // request, but nothing is reserved or cached. In block mode,
@@ -1812,7 +1674,7 @@ impl<'a> ServeEngine<'a> {
 
 /// Per-user primary (highest expected rate) covering server, or `None`
 /// for uncovered users.
-fn primary_servers(scenario: &Scenario) -> Result<Vec<Option<usize>>, RuntimeError> {
+pub(crate) fn primary_servers(scenario: &Scenario) -> Result<Vec<Option<usize>>, RuntimeError> {
     (0..scenario.num_users())
         .map(|k| primary_server_for(scenario, k))
         .collect()
@@ -1820,7 +1682,10 @@ fn primary_servers(scenario: &Scenario) -> Result<Vec<Option<usize>>, RuntimeErr
 
 /// The primary (highest expected rate) covering server of one user, or
 /// `None` if the user is uncovered.
-fn primary_server_for(scenario: &Scenario, k: usize) -> Result<Option<usize>, RuntimeError> {
+pub(crate) fn primary_server_for(
+    scenario: &Scenario,
+    k: usize,
+) -> Result<Option<usize>, RuntimeError> {
     let servers = scenario
         .coverage()
         .servers_of_user(k)

@@ -59,14 +59,16 @@
 //!   ([`ServeEngine::resume`]) and A/B forks of one checkpoint under
 //!   different policies ([`ServeEngine::fork`]) — enable with
 //!   [`ServeConfig::with_persist`];
-//! * [`shard`] — **region-sharded serving**: the deployment is split
-//!   into vertical strips, each strip a full engine with its own event
-//!   queue, RNG stream, caches and regional controller; shards run on a
+//! * [`shard`] — **the region coordinator** every serving run goes
+//!   through: it owns the run loop, checkpoints, restore and the run's
+//!   single radio snapshot. The deployment is split into
+//!   vertical strips, each a region with its own event queue, RNG
+//!   stream, caches and regional controller; regions run on a
 //!   worker-thread pool between mobility boundaries and merge
-//!   deterministically (handover, ownership migration, shared
-//!   checkpoints) so the trace is byte-identical across any thread
-//!   count, and one shard reproduces the classic engine bit for bit
-//!   ([`ShardedServeEngine`]).
+//!   deterministically (slot application, handover, ownership
+//!   migration, shared checkpoints) so the trace is byte-identical
+//!   across any thread count ([`ShardedServeEngine`]). The classic
+//!   [`ServeEngine`] is the coordinator with one region.
 //!
 //! # Example
 //!

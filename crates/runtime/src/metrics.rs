@@ -201,8 +201,9 @@ pub struct ServeMetrics {
     pub insertions: u64,
     /// Cache evictions performed.
     pub evictions: u64,
-    /// Radio-snapshot updates triggered by mobility slots (each slot
-    /// evolves the snapshot in place via the incremental delta path).
+    /// Mobility-slot applications, counted once per region (R× the
+    /// slot count when sharded). Each slot evolves the run's one radio
+    /// snapshot in place via the incremental delta path.
     pub snapshot_rebuilds: u64,
     /// Users whose radio/eligibility rows were actually re-derived
     /// across all mobility slots — the work the incremental snapshot

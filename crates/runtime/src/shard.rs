@@ -1,31 +1,36 @@
-//! Region-sharded serving: one scenario, R deterministic shards.
+//! Region-sharded serving: one scenario, one radio snapshot, R
+//! deterministic regions, run by the one coordinator every serving run
+//! goes through.
 //!
-//! A single [`ServeEngine`] walks one event queue
-//! with one RNG — correct, but serial. City-scale scenarios are
-//! spatially local: a request only ever considers the handful of
-//! servers covering its user, so servers far apart almost never
-//! interact. [`ShardedServeEngine`] exploits that locality by
-//! partitioning the deployment into `R` vertical strips over the server
-//! x-coordinates. Each strip becomes a *shard*: a full
-//! [`ServeEngine`] that owns the strip's servers
-//! (caches, backhaul links, fault transitions, regional controller) and
-//! the users currently inside the strip (request streams, kinematics,
-//! handover accounting), with its own event queue and its own RNG
-//! stream seeded `run seed + shard id`.
+//! Every serving run, classic or sharded, is driven by the coordinator
+//! defined here ([`ShardedServeEngine`]; [`ServeEngine`] is the
+//! coordinator at `R = 1`). The coordinator owns the run loop, the
+//! checkpoint windows, the resume/fork restore path, the run's **single
+//! mutable radio snapshot** and the per-user primary servers.
 //!
-//! Between mobility boundaries the shards share nothing and run freely
-//! on a pool of worker threads. At every mobility boundary the
-//! coordinator merges deterministically, in shard-id order: it
-//! assembles the global position vector from the owner shards'
-//! kinematics, applies the same slot update to every shard's radio
-//! snapshot (so all snapshots stay identical), and migrates ownership
-//! of users that crossed a strip border (ascending user id; the old
+//! City-scale scenarios are spatially local: a request only ever
+//! considers the handful of servers covering its user, so servers far
+//! apart almost never interact. The coordinator exploits that locality
+//! by partitioning the deployment into `R` vertical strips over the
+//! server x-coordinates. Each strip becomes a *region*: it simulates
+//! the strip's servers (caches, backhaul links, fault transitions,
+//! regional controller) and the users currently inside the strip
+//! (request streams, kinematics, handover accounting), with its own
+//! event queue and its own RNG stream seeded `run seed + region id`.
+//!
+//! Between mobility boundaries the regions share nothing mutable: they
+//! borrow the snapshot read-only and run freely on a pool of worker
+//! threads. At every mobility boundary the coordinator merges
+//! deterministically, in region-id order: it assembles the global
+//! position vector from the owner regions' kinematics, applies the slot
+//! to the snapshot once, hands every region the refreshed users so each
+//! counts the handovers of the users it owns, and migrates ownership of
+//! users that crossed a strip border (ascending user id; the old
 //! owner's pending request becomes a tombstone, the new owner copies
 //! the kinematics and schedules a fresh arrival). Because every merge
 //! is single-threaded and ordered, **the trace is a pure function of
 //! `(scenario, policy, config, R)` — byte-identical across any worker
-//! thread count** — and a run with `R = 1` reproduces the classic
-//! single-engine trace bit for bit.
+//! thread count** — and `R = 1` is the classic engine bit for bit.
 //!
 //! Sharding *is* a model change for `R > 1`: a request is served only
 //! by eligible servers of its owner's strip, and each strip plans its
@@ -33,23 +38,30 @@
 //! deployments have (a Shenzhen cell does not fail over to Guangzhou),
 //! and it is what makes the strips independent enough to parallelise.
 //!
-//! Durable sharded runs journal per shard (`journal_<id>.tcj`) and
-//! write one shared checkpoint file whose payload carries one state per
-//! shard (`CHECKPOINT_VERSION` 3); [`ShardedServeEngine::resume`]
-//! restores every shard byte-identically, re-deriving strip membership
-//! and user ownership from the static topology and the checkpointed
-//! positions.
+//! Durable runs journal per region — `journal.tcj` for a run built by
+//! [`ServeEngine`], `journal_<id>.tcj` for one built by
+//! [`ShardedServeEngine`] — and write one checkpoint file whose payload
+//! carries one state per region (`CHECKPOINT_VERSION` 3). Restore
+//! rebuilds the snapshot once from region 0's state, after checking
+//! that every region agrees on the boundary, the positions and the
+//! primary servers, and re-derives strip membership and user ownership
+//! from the static topology and the checkpointed positions.
+//!
+//! [`ServeEngine`]: crate::ServeEngine
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::path::PathBuf;
 
+use trimcaching_scenario::mobility::MobilityModel;
 use trimcaching_scenario::{Placement, Scenario, UserId};
 use trimcaching_wireless::geometry::Point;
 
-use crate::engine::{DriveStop, RunState, ServeConfig, ServeEngine, ServeReport, ShardSpec};
+use crate::engine::{
+    primary_server_for, primary_servers, DriveStop, Region, RunState, ServeConfig, ServeReport,
+    ShardSpec,
+};
 use crate::error::RuntimeError;
-use crate::persist::checkpoint::{CheckpointSaver, CheckpointState};
-use crate::persist::{Checkpoint, PersistConfig};
+use crate::persist::checkpoint::CheckpointSaver;
+use crate::persist::{Checkpoint, PersistConfig, PersistError};
 use crate::policy::EvictionPolicy;
 use crate::workload::Workload;
 
@@ -110,26 +122,40 @@ impl Partition {
     fn owners_of(&self, positions: &[Point]) -> Vec<usize> {
         positions.iter().map(|p| self.strip_of(p.x)).collect()
     }
+
+    /// The membership of region `s` under the ownership map `owner`.
+    fn spec(&self, s: usize, owner: &[usize]) -> ShardSpec {
+        ShardSpec {
+            owned_users: owner.iter().map(|&o| o == s).collect(),
+            member_servers: self.member_servers[s].clone(),
+        }
+    }
 }
 
-/// One shard: its engine plus the run state the coordinator drives it
-/// through.
-struct ShardRun<'a> {
-    engine: ServeEngine<'a>,
-    state: Option<RunState>,
-}
-
-/// A serving run partitioned into deterministic region shards — see the
+/// A serving run partitioned into deterministic regions — see the
 /// module docs for the model and the determinism contract.
 pub struct ShardedServeEngine<'a> {
     config: ServeConfig,
-    threads: usize,
+    /// Worker threads one drive round uses, resolved once at build time.
+    workers: usize,
     partition: Partition,
-    /// Authoritative user-ownership map (`owner[k]` = shard id),
-    /// mirrored into every shard's spec masks.
+    /// Authoritative user-ownership map (`owner[k]` = region id),
+    /// mirrored into every region's spec masks.
     owner: Vec<usize>,
-    shards: Vec<ShardRun<'a>>,
-    /// Simulated time of the next shared checkpoint boundary
+    /// The run's only mutable radio snapshot, updated once per mobility
+    /// slot and once per restore; regions borrow it read-only.
+    current: Scenario,
+    /// Per-user primary (highest-rate covering) server under `current`;
+    /// handovers are counted against it across mobility slots.
+    primary: Vec<Option<usize>>,
+    regions: Vec<Region<'a>>,
+    /// One run state per region once the run has begun (empty before).
+    states: Vec<RunState>,
+    /// Whether region `s` journals to `journal_<s>.tcj` (built as a
+    /// sharded run) or, at `R = 1`, to `journal.tcj` (built as a
+    /// [`ServeEngine`](crate::ServeEngine)).
+    per_shard_journals: bool,
+    /// Simulated time of the next checkpoint boundary
     /// (`f64::INFINITY` for in-memory runs).
     next_checkpoint_s: f64,
     saver: CheckpointSaver,
@@ -151,6 +177,18 @@ impl<'a> ShardedServeEngine<'a> {
         config: ServeConfig,
         num_shards: usize,
     ) -> Result<Self, RuntimeError> {
+        Self::build(scenario, policy, config, num_shards, true)
+    }
+
+    /// [`ShardedServeEngine::new`] with the journal naming chosen by
+    /// the public constructor that called it.
+    pub(crate) fn build(
+        scenario: &'a Scenario,
+        policy: &'a dyn EvictionPolicy,
+        config: ServeConfig,
+        num_shards: usize,
+        per_shard_journals: bool,
+    ) -> Result<Self, RuntimeError> {
         if num_shards == 0 {
             return Err(RuntimeError::InvalidConfig {
                 reason: "a sharded run needs at least one shard".into(),
@@ -160,20 +198,12 @@ impl<'a> ShardedServeEngine<'a> {
         let partition = Partition::over(scenario, num_shards);
         let positions: Vec<Point> = scenario.users().iter().map(|u| u.position()).collect();
         let owner = partition.owners_of(&positions);
-        let mut shards = Vec::with_capacity(num_shards);
-        for s in 0..num_shards {
-            let shard_config = config.clone().with_seed(config.seed.wrapping_add(s as u64));
-            let mut engine = ServeEngine::new(scenario, policy, shard_config)?;
-            engine.set_shard(ShardSpec {
-                id: s,
-                owned_users: owner.iter().map(|&o| o == s).collect(),
-                member_servers: partition.member_servers[s].clone(),
-            });
-            shards.push(ShardRun {
-                engine,
-                state: None,
-            });
-        }
+        let regions = (0..num_shards)
+            .map(|s| {
+                let region_config = config.clone().with_seed(config.seed.wrapping_add(s as u64));
+                Region::new(scenario, policy, region_config, partition.spec(s, &owner))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let next_checkpoint_s = if config.persist.is_some() {
             0.0
         } else {
@@ -181,10 +211,14 @@ impl<'a> ShardedServeEngine<'a> {
         };
         Ok(Self {
             config,
-            threads: 0,
+            workers: worker_count(0, num_shards),
             partition,
             owner,
-            shards,
+            current: scenario.clone(),
+            primary: primary_servers(scenario)?,
+            regions,
+            states: Vec::new(),
+            per_shard_journals,
             next_checkpoint_s,
             saver: CheckpointSaver::default(),
         })
@@ -195,7 +229,7 @@ impl<'a> ShardedServeEngine<'a> {
     /// time only — the merged trace is byte-identical for any value.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+        self.workers = worker_count(threads, self.regions.len());
         self
     }
 
@@ -209,8 +243,8 @@ impl<'a> ShardedServeEngine<'a> {
     ///
     /// Propagates scenario errors for mismatched placements.
     pub fn warm_start(&mut self, placement: &Placement) -> Result<(), RuntimeError> {
-        for shard in &mut self.shards {
-            shard.engine.warm_start(placement)?;
+        for region in &mut self.regions {
+            region.warm_start(placement)?;
         }
         Ok(())
     }
@@ -227,8 +261,22 @@ impl<'a> ShardedServeEngine<'a> {
     /// Propagates [`RuntimeError::InvalidConfig`] for a workload whose
     /// user count differs from the scenario's.
     pub fn set_workload(&mut self, workload: Workload) -> Result<(), RuntimeError> {
-        for shard in &mut self.shards {
-            shard.engine.set_workload(workload.clone())?;
+        for region in &mut self.regions {
+            region.set_workload(workload.clone())?;
+        }
+        Ok(())
+    }
+
+    /// Schedules an oracle reconciliation in every region (each stages
+    /// the rows of its member servers); see
+    /// [`ServeEngine::schedule_reconcile`](crate::ServeEngine::schedule_reconcile).
+    pub(crate) fn schedule_reconcile(
+        &mut self,
+        at_s: f64,
+        target: Placement,
+    ) -> Result<(), RuntimeError> {
+        for region in &mut self.regions {
+            region.schedule_reconcile(at_s, target.clone())?;
         }
         Ok(())
     }
@@ -242,8 +290,9 @@ impl<'a> ShardedServeEngine<'a> {
     ///
     /// # Errors
     ///
-    /// Fails on I/O errors, corrupt files, or a policy/seed mismatch
-    /// between `policy`, the checkpoint and any shard journal.
+    /// Fails on I/O errors, corrupt files, shard states that disagree
+    /// on the boundary, positions or primary servers, or a policy/seed
+    /// mismatch between `policy`, the checkpoint and any shard journal.
     pub fn resume(
         scenario: &'a Scenario,
         policy: &'a dyn EvictionPolicy,
@@ -251,46 +300,108 @@ impl<'a> ShardedServeEngine<'a> {
     ) -> Result<Self, RuntimeError> {
         persist.validate()?;
         let cp = Checkpoint::load(&persist.checkpoint_path())?;
+        Self::restore(scenario, policy, &cp, Some(persist), true)
+    }
+
+    /// Rebuilds a run from a decoded checkpoint: the snapshot and the
+    /// primary servers once from region 0's state, then every region.
+    /// With `persist`, each region's journal is reopened for
+    /// verification and checkpoints continue; without it the run is an
+    /// in-memory fork.
+    pub(crate) fn restore(
+        scenario: &'a Scenario,
+        policy: &'a dyn EvictionPolicy,
+        cp: &Checkpoint,
+        persist: Option<PersistConfig>,
+        per_shard_journals: bool,
+    ) -> Result<Self, RuntimeError> {
+        let Some(first) = cp.shards.first() else {
+            return Err(PersistError::Mismatch {
+                reason: "checkpoint captures no shards".into(),
+            }
+            .into());
+        };
+        if let Some(s) = cp.shards.iter().position(|state| {
+            state.time_s != first.time_s
+                || state.positions != first.positions
+                || state.primary != first.primary
+        }) {
+            return Err(PersistError::Mismatch {
+                reason: format!(
+                    "checkpoint shard {s} disagrees with shard 0 on the boundary time, \
+                     the user positions or the primary servers"
+                ),
+            }
+            .into());
+        }
+        if first.positions.len() != scenario.num_users()
+            || first.primary.len() != scenario.num_users()
+        {
+            return Err(PersistError::Mismatch {
+                reason: format!(
+                    "checkpoint captured {} users but the scenario has {}",
+                    first.positions.len(),
+                    scenario.num_users()
+                ),
+            }
+            .into());
+        }
         let num_shards = cp.num_shards();
         let partition = Partition::over(scenario, num_shards);
-        // Shard 0's stream is seeded with the run seed itself, so its
-        // captured config is the run config.
-        let mut config = cp.shards[0].config.clone();
-        config.persist = Some(persist.clone());
-        let owner = partition.owners_of(&cp.shards[0].positions);
-        let mut shards = Vec::with_capacity(num_shards);
+        let owner = partition.owners_of(&first.positions);
+        let mut regions = Vec::with_capacity(num_shards);
+        let mut states = Vec::with_capacity(num_shards);
         for (s, state) in cp.shards.iter().enumerate() {
-            let mut engine = ServeEngine::resume_shard(
-                scenario,
-                policy,
-                persist.clone(),
-                state,
-                &persist.journal_shard_path(s),
-            )?;
-            engine.set_shard(ShardSpec {
-                id: s,
-                owned_users: owner.iter().map(|&o| o == s).collect(),
-                member_servers: partition.member_servers[s].clone(),
-            });
-            let run_state = engine
-                .take_resume_state()
-                .ok_or_else(|| RuntimeError::Internal {
-                    reason: format!("restored shard {s} has no staged run state"),
-                })?;
-            shards.push(ShardRun {
-                engine,
-                state: Some(run_state),
-            });
+            let (region, run_state) =
+                Region::restore(scenario, policy, state, partition.spec(s, &owner))?;
+            regions.push(region);
+            states.push(run_state);
         }
-        let next_checkpoint_s = cp.shards[0].time_s + persist.checkpoint_every_s;
-        Ok(Self {
+        // One-shot position update — bit-identical to the incremental
+        // slot-by-slot evolution that produced the checkpoint (pinned by
+        // `incremental_slots_match_full_rebuild_serving`).
+        let mut current = scenario.clone();
+        current.update_user_positions(&first.positions)?;
+        // Region 0's stream is seeded with the run seed itself, so its
+        // captured config is the run config.
+        let mut config = first.config.clone();
+        config.persist = persist;
+        let next_checkpoint_s = match &config.persist {
+            Some(pc) => first.time_s + pc.checkpoint_every_s,
+            None => f64::INFINITY,
+        };
+        let mut engine = Self {
             config,
-            threads: 0,
+            workers: worker_count(0, num_shards),
             partition,
             owner,
-            shards,
+            current,
+            primary: first
+                .primary
+                .iter()
+                .map(|p| p.map(|m| m as usize))
+                .collect(),
+            regions,
+            states,
+            per_shard_journals,
             next_checkpoint_s,
             saver: CheckpointSaver::default(),
+        };
+        for (s, state) in cp.shards.iter().enumerate() {
+            if let Some(path) = engine.journal_path(s) {
+                engine.regions[s].reopen_journal(&path, state)?;
+            }
+        }
+        Ok(engine)
+    }
+
+    /// The journal file of region `s`, for durable runs.
+    fn journal_path(&self, s: usize) -> Option<PathBuf> {
+        let pc = self.config.persist.as_ref()?;
+        Some(if self.per_shard_journals {
+            pc.journal_shard_path(s)
+        } else {
+            pc.journal_path()
         })
     }
 
@@ -307,21 +418,20 @@ impl<'a> ShardedServeEngine<'a> {
         let horizon = self.config.duration_s;
         self.run_to(horizon)?;
         self.saver.wait()?;
-        let member_servers = self.partition.member_servers.clone();
-        let base_seed = self.config.seed;
-        let mut reports = Vec::with_capacity(self.shards.len());
-        for shard in self.shards {
-            reports.push(shard.engine.finish(horizon)?);
-        }
+        let mut reports = self
+            .regions
+            .into_iter()
+            .map(|region| region.finish(horizon))
+            .collect::<Result<Vec<_>, _>>()?;
         let mut merged = reports.remove(0);
-        merged.seed = base_seed;
+        merged.seed = self.config.seed;
         for report in &reports {
             merged.metrics.merge_from(&report.metrics);
         }
         // Each server belongs to exactly one shard; its final cache is
         // that shard's (non-member caches stay empty for the whole run).
         for (s, report) in reports.iter().enumerate() {
-            for (m, &member) in member_servers[s + 1].iter().enumerate() {
+            for (m, &member) in self.partition.member_servers[s + 1].iter().enumerate() {
                 if member {
                     merged.final_caches[m] = report.final_caches[m].clone();
                 }
@@ -348,192 +458,150 @@ impl<'a> ShardedServeEngine<'a> {
                 reason: format!("stop time must be non-negative and finite, got {stop_s}"),
             });
         }
-        let stop_s = stop_s.min(self.config.duration_s);
-        self.run_to(stop_s)?;
-        for shard in &mut self.shards {
-            shard.engine.flush_journal()?;
+        self.run_to(stop_s.min(self.config.duration_s))?;
+        for region in &mut self.regions {
+            region.flush_journal()?;
         }
         Ok(self.saver.wait()?)
     }
 
-    /// Drives every shard to `horizon` through checkpoint-bounded
-    /// windows: within a window the shards run in parallel and merge at
-    /// every mobility boundary; at each due checkpoint boundary all
-    /// shards are captured into one shared checkpoint file (the same
-    /// boundary grid, boundary `0.0` included, as the classic engine).
+    /// Drives every region to `horizon` through checkpoint-bounded
+    /// windows: within a window the regions run in parallel and merge
+    /// at every mobility boundary; at each due checkpoint boundary all
+    /// regions are captured into one checkpoint file. A boundary `T` is
+    /// written once every event at or before `T` has fired (events *at*
+    /// the boundary are simulated state of the boundary) and `T` is
+    /// within the horizon; boundary `0.0` is included.
     fn run_to(&mut self, horizon: f64) -> Result<(), RuntimeError> {
-        if self.shards[0].state.is_none() {
-            for shard in &mut self.shards {
-                let state = shard.engine.begin()?;
-                shard.state = Some(state);
-            }
+        if self.states.is_empty() {
+            self.begin()?;
         }
         loop {
-            let window_end = horizon.min(self.next_checkpoint_s);
-            self.drive_window(window_end)?;
-            if self.next_checkpoint_s > horizon {
-                return Ok(());
-            }
+            self.drive_window(horizon.min(self.next_checkpoint_s))?;
             let due = self.next_checkpoint_s;
-            if let Some(pc) = self.config.persist.clone() {
-                let mut states: Vec<CheckpointState> = Vec::with_capacity(self.shards.len());
-                for shard in &mut self.shards {
-                    let state = shard.state.as_ref().ok_or_else(no_run_state)?;
-                    states.push(shard.engine.capture_for_checkpoint(due, state)?);
-                }
-                self.saver.save(
-                    pc.checkpoint_path(),
-                    Checkpoint { shards: states },
-                    pc.fsync,
-                )?;
-                self.next_checkpoint_s = due + pc.checkpoint_every_s;
-            } else {
-                // Unreachable (a finite boundary implies persistence),
-                // but a clean stop beats a spin.
+            let Some(pc) = self.config.persist.as_ref().filter(|_| due <= horizon) else {
                 return Ok(());
+            };
+            let (path, every_s, fsync) = (pc.checkpoint_path(), pc.checkpoint_every_s, pc.fsync);
+            let mut shards = Vec::with_capacity(self.regions.len());
+            for (region, state) in self.regions.iter_mut().zip(&self.states) {
+                shards.push(region.capture(due, state, &self.current, &self.primary)?);
             }
-            if window_end >= horizon {
-                return Ok(());
-            }
+            self.saver.save(path, Checkpoint { shards }, fsync)?;
+            self.next_checkpoint_s = due + every_s;
         }
     }
 
-    /// Drives every shard to `window_end`, running the deterministic
-    /// cross-shard merge at each mobility boundary on the way.
+    /// Starts every region's run state and, for durable runs, creates
+    /// the persistence directory and the region journals.
+    fn begin(&mut self) -> Result<(), RuntimeError> {
+        if let Some(pc) = &self.config.persist {
+            std::fs::create_dir_all(&pc.dir).map_err(|e| PersistError::io(&pc.dir, e))?;
+        }
+        let paths: Vec<Option<PathBuf>> = (0..self.regions.len())
+            .map(|s| self.journal_path(s))
+            .collect();
+        self.states = self
+            .regions
+            .iter_mut()
+            .zip(&paths)
+            .map(|(region, path)| region.begin(path.as_deref()))
+            .collect::<Result<_, _>>()?;
+        Ok(())
+    }
+
+    /// Drives every region to `window_end`, running the deterministic
+    /// cross-region merge at each mobility boundary on the way. Every
+    /// region shares the slot grid, so all of them stop at the same
+    /// boundary or none does.
     fn drive_window(&mut self, window_end: f64) -> Result<(), RuntimeError> {
         loop {
             let outcomes = self.drive_all(window_end)?;
-            let mut boundary: Option<f64> = None;
-            let mut at_horizon = false;
-            for outcome in &outcomes {
-                match outcome {
-                    DriveStop::Horizon => at_horizon = true,
-                    DriveStop::MobilityBoundary(t) => match boundary {
-                        None => boundary = Some(*t),
-                        Some(prev) if prev == *t => {}
-                        Some(prev) => {
-                            return Err(RuntimeError::Internal {
-                                reason: format!(
-                                    "shards disagree on the mobility boundary: {prev} vs {t}"
-                                ),
-                            });
-                        }
-                    },
-                }
-            }
-            let Some(tb) = boundary else {
-                return Ok(());
-            };
-            if at_horizon {
+            let first = outcomes.first().copied().unwrap_or(DriveStop::Horizon);
+            if outcomes.iter().any(|&outcome| outcome != first) {
                 return Err(RuntimeError::Internal {
-                    reason: format!(
-                        "some shards reached the window end while others stopped at the \
-                         mobility boundary {tb} — the slot grids diverged"
-                    ),
+                    reason: format!("regions disagree on the mobility boundary: {outcomes:?}"),
                 });
             }
-            self.merge_at(tb)?;
+            match first {
+                DriveStop::Horizon => return Ok(()),
+                DriveStop::MobilityBoundary(tb) => self.merge_at(tb)?,
+            }
         }
     }
 
-    /// One round of parallel shard driving on the worker pool. The
-    /// outcomes come back in shard-id order whatever the thread
-    /// scheduling, so everything downstream is deterministic.
+    /// One round of region driving: contiguous runs of regions on the
+    /// worker threads, or inline for one worker. The outcomes come back
+    /// in region-id order whatever the thread scheduling, so everything
+    /// downstream is deterministic.
     fn drive_all(&mut self, stop_s: f64) -> Result<Vec<DriveStop>, RuntimeError> {
-        let workers = if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+        let snapshot = &self.current;
+        let drive = |part: &mut [(&mut Region<'a>, &mut RunState)]| {
+            part.iter_mut()
+                .map(|(region, state)| region.drive(state, snapshot, stop_s))
+                .collect::<Result<Vec<_>, _>>()
+        };
+        let mut pairs: Vec<_> = self.regions.iter_mut().zip(&mut self.states).collect();
+        if self.workers == 1 {
+            return drive(&mut pairs);
         }
-        .min(self.shards.len())
-        .max(1);
-
-        if workers == 1 {
-            let mut outcomes = Vec::with_capacity(self.shards.len());
-            for shard in &mut self.shards {
-                let ShardRun { engine, state } = shard;
-                let state = state.as_mut().ok_or_else(no_run_state)?;
-                outcomes.push(engine.drive(state, stop_s)?);
-            }
-            return Ok(outcomes);
-        }
-
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<&mut ShardRun<'a>>> = self.shards.iter_mut().map(Mutex::new).collect();
-        let results: Vec<Mutex<Option<Result<DriveStop, RuntimeError>>>> =
-            slots.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let index = next.fetch_add(1, Ordering::SeqCst);
-                    if index >= slots.len() {
-                        break;
-                    }
-                    // A poisoned lock only means another worker panicked
-                    // after writing its slot — recover the data rather
-                    // than propagating the panic across all shards.
-                    let mut slot = slots[index].lock().unwrap_or_else(|e| e.into_inner());
-                    let ShardRun { engine, state } = &mut **slot;
-                    let outcome = match state.as_mut() {
-                        Some(state) => engine.drive(state, stop_s),
-                        None => Err(no_run_state()),
-                    };
-                    let failed = outcome.is_err();
-                    *results[index].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
-                    if failed {
-                        break;
-                    }
-                });
-            }
+        let chunk = pairs.len().div_ceil(self.workers);
+        let parts: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = pairs
+                .chunks_mut(chunk)
+                .map(|part| scope.spawn(move || drive(part)))
+                .collect();
+            handles.into_iter().map(|handle| handle.join()).collect()
         });
-        results
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .unwrap_or_else(|| {
-                        Err(RuntimeError::Internal {
-                            reason: "a shard drive slot was never claimed by a worker".into(),
-                        })
-                    })
-            })
-            .collect()
+        let mut outcomes = Vec::with_capacity(self.regions.len());
+        for part in parts {
+            outcomes.extend(part.map_err(|_| RuntimeError::Internal {
+                reason: "a region worker panicked".into(),
+            })??);
+        }
+        Ok(outcomes)
     }
 
-    /// The deterministic cross-shard merge at mobility boundary `tb`,
-    /// entirely single-threaded and ordered by shard id then user id:
+    /// The deterministic cross-region merge at mobility boundary `tb`,
+    /// entirely single-threaded and ordered by region id then user id:
     ///
-    /// 1. assemble the global position vector from the owner shards'
-    ///    kinematics (each shard steps *all* users for RNG parity, but
+    /// 1. assemble the global position vector from the owner regions'
+    ///    kinematics (each region steps *all* users for RNG parity, but
     ///    only owned rows are authoritative);
-    /// 2. apply the same slot update to every shard's radio snapshot —
-    ///    identical inputs keep all snapshots identical;
-    /// 3. migrate ownership of users that crossed a strip border: copy
+    /// 2. apply the slot to the snapshot once — incremental evolution,
+    ///    re-deriving only the moved users' rows (and those of users
+    ///    sharing a reallocated server), bit-identical to a full
+    ///    rebuild — and re-derive the refreshed users' primary servers;
+    /// 3. hand every region the refreshed users, so each counts one
+    ///    snapshot update and the refreshes and handovers it owns;
+    /// 4. migrate ownership of users that crossed a strip border: copy
     ///    the kinematic row to the new owner, flip both masks, and let
     ///    the new owner schedule a fresh arrival (the old owner's
     ///    pending request dies as a tombstone).
     fn merge_at(&mut self, tb: f64) -> Result<(), RuntimeError> {
         let num_users = self.owner.len();
         let mut global = vec![Point::new(0.0, 0.0); num_users];
-        for (s, shard) in self.shards.iter().enumerate() {
-            let state = shard.state.as_ref().ok_or_else(no_run_state)?;
-            let mobility = state
-                .mobility
-                .as_ref()
-                .ok_or_else(|| RuntimeError::Internal {
-                    reason: "a mobility boundary fired but a shard has no mobility model".into(),
-                })?;
-            let users = mobility.users();
+        for (s, state) in self.states.iter().enumerate() {
+            let users = kinematics(state)?.users();
             for (k, &owner) in self.owner.iter().enumerate() {
                 if owner == s {
                     global[k] = users[k].position;
                 }
             }
         }
-        for shard in &mut self.shards {
-            shard.engine.apply_slot_positions(&global)?;
+        let delta = self.current.update_user_positions(&global)?;
+        // Primary servers are a pure function of a user's covering set
+        // and rates, both unchanged outside the refreshed set — recount
+        // handovers from the delta instead of re-deriving all K
+        // assignments.
+        let mut refreshed = Vec::with_capacity(delta.refreshed_users().len());
+        for &k in delta.refreshed_users() {
+            let fresh = primary_server_for(&self.current, k)?;
+            refreshed.push((k, self.primary[k] != fresh));
+            self.primary[k] = fresh;
+        }
+        for region in &mut self.regions {
+            region.note_slot(&refreshed);
         }
         // Migration order is part of the determinism contract: strictly
         // ascending user id, so the index loop is deliberate.
@@ -544,36 +612,49 @@ impl<'a> ShardedServeEngine<'a> {
             if to == from {
                 continue;
             }
-            let row = {
-                let state = self.shards[from].state.as_ref().ok_or_else(no_run_state)?;
-                let mobility = state.mobility.as_ref().ok_or_else(no_run_state)?;
-                mobility.users()[k]
-            };
-            {
-                let state = self.shards[to].state.as_mut().ok_or_else(no_run_state)?;
-                let mobility = state.mobility.as_mut().ok_or_else(no_run_state)?;
-                mobility.set_user(k, row)?;
-            }
-            if let Some(spec) = self.shards[from].engine.shard_spec_mut() {
-                spec.owned_users[k] = false;
-            }
-            if let Some(spec) = self.shards[to].engine.shard_spec_mut() {
-                spec.owned_users[k] = true;
-            }
+            let row = kinematics(&self.states[from])?.users()[k];
+            let state = &mut self.states[to];
+            state
+                .mobility
+                .as_mut()
+                .ok_or_else(no_kinematics)?
+                .set_user(k, row)?;
+            self.regions[from].set_owned(k, false);
+            self.regions[to].set_owned(k, true);
             self.owner[k] = to;
-            let ShardRun { engine, state } = &mut self.shards[to];
-            let state = state.as_mut().ok_or_else(no_run_state)?;
-            engine.schedule_user_request(state, UserId(k), tb);
+            self.regions[to].schedule_user_request(state, UserId(k), tb);
         }
         Ok(())
     }
 }
 
-/// The internal error for a shard whose run state went missing — only
-/// reachable through a coordinator bug, never through user input.
-fn no_run_state() -> RuntimeError {
+/// The worker count of one drive round: `threads` (`0` = one per
+/// available CPU), capped by the region count. A single region never
+/// asks the OS.
+fn worker_count(threads: usize, regions: usize) -> usize {
+    if regions <= 1 {
+        return 1;
+    }
+    let threads = if threads > 0 {
+        threads
+    } else {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    };
+    threads.clamp(1, regions)
+}
+
+/// A region's mobility model at a mobility boundary.
+fn kinematics(state: &RunState) -> Result<&MobilityModel, RuntimeError> {
+    state.mobility.as_ref().ok_or_else(no_kinematics)
+}
+
+/// The internal error for a mobility boundary in a region without
+/// kinematics — only reachable through a coordinator bug.
+fn no_kinematics() -> RuntimeError {
     RuntimeError::Internal {
-        reason: "a shard has no run state".into(),
+        reason: "a mobility boundary fired but a region has no mobility model".into(),
     }
 }
 
@@ -768,5 +849,39 @@ mod tests {
             report.metrics.requests,
             report.metrics.hits + report.metrics.misses_served + report.metrics.rejected
         );
+    }
+
+    #[test]
+    fn resume_rejects_shard_states_that_disagree() {
+        let s = scenario(14);
+        let dir = temp_dir("disagree");
+        ShardedServeEngine::new(&s, &Lru, config(&dir), 2)
+            .unwrap()
+            .run_until(37.0)
+            .unwrap();
+        let persist = PersistConfig::new(&dir).with_checkpoint_every_s(20.0);
+        let path = persist.checkpoint_path();
+        let original = Checkpoint::load(&path).unwrap();
+        assert_eq!(original.num_shards(), 2);
+        for field in ["time_s", "positions", "primary"] {
+            let mut cp = original.clone();
+            let state = &mut cp.shards[1];
+            match field {
+                "time_s" => state.time_s += 5.0,
+                "positions" => state.positions[3].x += 1.0,
+                _ => state.primary[0] = Some(state.primary[0].map_or(0, |m| m + 1)),
+            }
+            cp.save(&path).unwrap();
+            let err = ShardedServeEngine::resume(&s, &Lru, persist.clone())
+                .map(|_| ())
+                .unwrap_err();
+            assert!(
+                matches!(err, RuntimeError::Persist(PersistError::Mismatch { .. })),
+                "disagreeing {field} must be a typed mismatch, got {err:?}"
+            );
+        }
+        // The untampered checkpoint still resumes.
+        original.save(&path).unwrap();
+        assert!(ShardedServeEngine::resume(&s, &Lru, persist).is_ok());
     }
 }
