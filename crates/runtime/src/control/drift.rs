@@ -451,6 +451,50 @@ mod tests {
     }
 
     #[test]
+    fn tighter_thresholds_fire_on_every_tick_looser_ones_do() {
+        // A fixed trace with slow decay, sharp drops, plateaus and
+        // rebounds: each threshold below fires somewhere on it.
+        let trace: Vec<f64> = (0..120)
+            .map(|t| {
+                let base = 0.7 - 0.002 * t as f64;
+                match t % 30 {
+                    10..=13 => base * 0.6,
+                    20..=21 => base * 0.85,
+                    25 => base * 0.93,
+                    _ => base,
+                }
+            })
+            .collect();
+        let fired = |degradation: f64| -> Vec<usize> {
+            let mut d = detector(DriftConfig {
+                degradation,
+                latency_rise: 0.0,
+                replan_every_s: 0.0,
+                ..DriftConfig::paper_defaults()
+            });
+            trace
+                .iter()
+                .enumerate()
+                .filter(|&(t, &hit)| d.observe(t as f64, Some(hit), None).replan.is_some())
+                .map(|(t, _)| t)
+                .collect()
+        };
+        let thresholds = [0.3, 0.12, 0.05, 0.01];
+        let ticks: Vec<Vec<usize>> = thresholds.iter().map(|&x| fired(x)).collect();
+        assert!(ticks.iter().all(|t| !t.is_empty()), "{ticks:?}");
+        for (i, pair) in ticks.windows(2).enumerate() {
+            let (looser, tighter) = (&pair[0], &pair[1]);
+            assert!(
+                looser.iter().all(|t| tighter.contains(t)),
+                "degradation {} fired at {looser:?}, {} only at {tighter:?}",
+                thresholds[i],
+                thresholds[i + 1]
+            );
+        }
+        assert!(ticks[0].len() < ticks[3].len());
+    }
+
+    #[test]
     fn invalid_configs_are_rejected() {
         for bad in [
             DriftConfig {

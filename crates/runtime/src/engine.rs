@@ -68,6 +68,7 @@ use crate::persist::checkpoint::{CheckpointState, MobilityState};
 use crate::persist::journal::{recover_journal, JournalHeader, JournalWriter};
 use crate::persist::{Checkpoint, PersistConfig, PersistError, ServedRecord};
 use crate::policy::EvictionPolicy;
+use crate::pool::run_indexed;
 use crate::shard::ShardedServeEngine;
 use crate::transfer::BackhaulLink;
 use crate::workload::Workload;
@@ -1743,12 +1744,12 @@ pub fn serve_with_workload(
 
 /// Fans `runs` independent serving replays (seeds `config.seed`,
 /// `config.seed + 1`, ...) out across `threads` worker threads (0 = one
-/// per available CPU), like the Monte-Carlo driver. The returned reports
-/// are ordered by run index regardless of thread scheduling.
+/// per available CPU) on the shared [`run_indexed`] pool. The returned
+/// reports are ordered by run index regardless of thread scheduling.
 ///
 /// # Errors
 ///
-/// Returns the first error any run produced.
+/// Returns the error of the lowest-index failing run.
 pub fn serve_ensemble(
     scenario: &Scenario,
     policy: &dyn EvictionPolicy,
@@ -1763,56 +1764,12 @@ pub fn serve_ensemble(
         });
     }
     config.validate()?;
-    let workers = if threads > 0 {
-        threads
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-    .min(runs)
-    .max(1);
-
-    let results: std::sync::Mutex<Vec<Option<Result<ServeReport, RuntimeError>>>> =
-        std::sync::Mutex::new((0..runs).map(|_| None).collect());
-    let next = std::sync::atomic::AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                if index >= runs {
-                    break;
-                }
-                let run_config = config
-                    .clone()
-                    .with_seed(config.seed.wrapping_add(index as u64));
-                let outcome = serve(scenario, policy, initial, &run_config);
-                let failed = outcome.is_err();
-                // A poisoned lock only means another worker panicked
-                // after writing its slot — the data inside is still a
-                // plain `Vec` of per-run slots, so recover it rather
-                // than propagating the panic across all runs.
-                results.lock().unwrap_or_else(|e| e.into_inner())[index] = Some(outcome);
-                if failed {
-                    break;
-                }
-            });
-        }
-    });
-
-    results
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .into_iter()
-        .map(|slot| {
-            slot.unwrap_or_else(|| {
-                Err(RuntimeError::Internal {
-                    reason: "an ensemble run slot was never claimed by a worker".into(),
-                })
-            })
-        })
-        .collect()
+    run_indexed(runs, threads, |index| {
+        let run_config = config
+            .clone()
+            .with_seed(config.seed.wrapping_add(index as u64));
+        serve(scenario, policy, initial, &run_config)
+    })
 }
 
 #[cfg(test)]

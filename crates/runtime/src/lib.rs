@@ -32,6 +32,9 @@
 //!   baseline), user mobility advanced in event time with server
 //!   handover, caches maintained online, and independent runs fanned out
 //!   across worker threads;
+//! * [`pool`] — the one fan-out of independent jobs (serving ensembles,
+//!   Monte-Carlo topologies, sweep cells) over scoped worker threads,
+//!   ordered by job index and failing with the lowest-index error;
 //! * [`control`] — the **online re-placement loop**: an EWMA demand
 //!   estimator over the served stream, a drift detector on the windowed
 //!   hit-ratio / p95 trace, re-plans through the shared-block-aware
@@ -110,6 +113,7 @@ pub mod faults;
 pub mod metrics;
 pub mod persist;
 pub mod policy;
+pub mod pool;
 pub mod shard;
 pub mod transfer;
 pub mod workload;

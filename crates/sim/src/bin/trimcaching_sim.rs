@@ -9,8 +9,8 @@
 //! experiments: fig1 fig4a fig4b fig4c fig5a fig5b fig5c fig6a fig6b fig7
 //!              serve serve-trace serve-blocks serve-adapt serve-adapt-trace
 //!              serve-journal resume fork-ab journal-stats serve-faults
-//!              replacement replacement-trigger lora-market city-scale
-//!              serve-sharded serve-sharded-xl sweep sweep-report
+//!              lora-market city-scale serve-sharded serve-sharded-xl
+//!              sweep sweep-report
 //!              ablation-epsilon ablation-sharing ablation-zipf
 //!              ablation-scaling ablation-backhaul ablation-deadline
 //!              ablation-shadowing all
@@ -47,8 +47,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use trimcaching_sim::experiments::{
-    ablation, adapt, city, durable, faults, fig1, fig4, fig5, fig6, fig7, lora, replacement, serve,
-    sharded, RunConfig,
+    ablation, adapt, city, durable, faults, fig1, fig4, fig5, fig6, fig7, lora, serve, sharded,
+    RunConfig,
 };
 use trimcaching_sim::montecarlo::MonteCarloConfig;
 use trimcaching_sim::{sweep, SimError, SweepSpec};
@@ -72,8 +72,8 @@ fn print_usage() {
          [--dir DIR] [--shards N] [--threads N]\n\
          experiments: fig1 fig4a fig4b fig4c fig5a fig5b fig5c fig6a fig6b fig7 \
          serve serve-trace serve-blocks serve-adapt serve-adapt-trace \
-         serve-journal resume fork-ab journal-stats serve-faults replacement \
-         replacement-trigger lora-market city-scale serve-sharded serve-sharded-xl \
+         serve-journal resume fork-ab journal-stats serve-faults lora-market \
+         city-scale serve-sharded serve-sharded-xl \
          sweep sweep-report ablation-epsilon ablation-sharing ablation-zipf ablation-scaling \
          ablation-backhaul ablation-deadline ablation-shadowing all"
     );
@@ -278,8 +278,6 @@ fn run_experiment(
         "fork-ab" => render_table(durable::fork_ab(config, dir)?),
         "journal-stats" => render_table(durable::journal_stats(dir)?),
         "serve-faults" => render_table(faults::failover_study(config)?),
-        "replacement" => render_table(replacement::replacement_study(config)?),
-        "replacement-trigger" => render_table(replacement::trigger_sweep(config)?),
         "lora-market" => render_table(lora::capacity_sweep(config)?),
         "city-scale" => render_table(city::city_scale_study(config)?),
         "serve-sharded" => render_table(sharded::sharded_scaling_study(config, shards, threads)?),
@@ -312,8 +310,6 @@ fn run_experiment(
                 "serve-adapt",
                 "serve-adapt-trace",
                 "serve-faults",
-                "replacement",
-                "replacement-trigger",
                 "lora-market",
                 "city-scale",
                 "ablation-epsilon",

@@ -5,13 +5,19 @@
 //! (`trimcaching-placement`) into the experiments of Section VII of the
 //! paper:
 //!
-//! * [`topology`] — random network topologies per Section VII-A;
+//! * [`topology`] — random network topologies per Section VII-A, and
+//!   city-scale Poisson deployments;
 //! * [`montecarlo`] — averaging over topologies and Rayleigh fading
-//!   realisations, in parallel;
-//! * [`experiments`] — one driver per figure (Figs. 1, 4, 5, 6, 7) plus
-//!   ablation studies;
+//!   realisations, in parallel on the runtime's worker pool;
+//! * [`experiments`] — one driver per figure (Figs. 1, 4, 5, 6, 7),
+//!   ablation studies, and the serving studies that drive
+//!   `trimcaching-runtime` (eviction policies, online re-placement,
+//!   durable runs, fault injection, region sharding);
+//! * [`sweep`] — declarative parameter grids served cell by cell, with
+//!   artefacts byte-identical for any worker count;
 //! * [`report`] — tables with Markdown/CSV rendering, as printed by the
-//!   `trimcaching-sim` binary and recorded in `EXPERIMENTS.md`.
+//!   `trimcaching-sim` binary and recorded in `EXPERIMENTS.md`;
+//! * [`error`] — the crate's error type.
 //!
 //! # Example
 //!
@@ -29,14 +35,12 @@
 pub mod error;
 pub mod experiments;
 pub mod montecarlo;
-pub mod replacement;
 pub mod report;
 pub mod sweep;
 pub mod topology;
 
 pub use error::SimError;
 pub use montecarlo::{evaluate_algorithms, AlgorithmSamples, MonteCarloConfig};
-pub use replacement::{replay_with_policy, ReplacementPolicy, ReplacementTrace, ReplayConfig};
 pub use report::{ComparisonTable, ExperimentTable, Measurement};
 pub use sweep::{run_sweep, Cell, PolicyKind, SweepReport, SweepSpec, WorkloadFamily};
 pub use topology::{CityScaleConfig, TopologyConfig};

@@ -5,15 +5,15 @@
 //! (placements are decided on expected channel gains, performance is then
 //! measured under fading). [`MonteCarloConfig`] captures those repetition
 //! counts, and [`evaluate_algorithms`] runs a set of placement algorithms
-//! over the topology ensemble in parallel worker threads.
+//! over the topology ensemble on the runtime's worker pool.
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use trimcaching_modellib::ModelLibrary;
 use trimcaching_placement::PlacementAlgorithm;
+use trimcaching_runtime::pool::run_indexed;
 
 use crate::report::Measurement;
 use crate::topology::TopologyConfig;
@@ -64,16 +64,6 @@ impl MonteCarloConfig {
             threads: 1,
         }
     }
-
-    fn worker_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
-    }
 }
 
 impl Default for MonteCarloConfig {
@@ -115,8 +105,8 @@ impl AlgorithmSamples {
 ///
 /// # Errors
 ///
-/// Returns the first error produced by topology generation or by an
-/// algorithm. Algorithms that refuse an instance
+/// Returns the lowest-index topology's error from topology generation
+/// or from an algorithm. Algorithms that refuse an instance
 /// (`PlacementError::InstanceTooLarge`) propagate that refusal.
 pub fn evaluate_algorithms(
     library: &ModelLibrary,
@@ -136,61 +126,27 @@ pub fn evaluate_algorithms(
     }
 
     // Per topology: one (hit ratio, runtime, evaluations) triple per
-    // algorithm, filled in by whichever worker claims the index.
-    type TopologySamples = Vec<(f64, f64, u64)>;
-    let results: Mutex<Vec<Option<TopologySamples>>> = Mutex::new(vec![None; mc.topologies]);
-    let error: Mutex<Option<SimError>> = Mutex::new(None);
-    let next_index = std::sync::atomic::AtomicUsize::new(0);
-    let workers = mc.worker_threads().min(mc.topologies).max(1);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = next_index.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                if index >= mc.topologies {
-                    break;
-                }
-                if error.lock().is_some() {
-                    break;
-                }
-                let outcome = (|| -> Result<Vec<(f64, f64, u64)>, SimError> {
-                    let scenario = topology.generate(library, mc.seed, index as u64)?;
-                    let mut per_algorithm = Vec::with_capacity(algorithms.len());
-                    for algorithm in algorithms {
-                        let result = algorithm.place(&scenario)?;
-                        let mut rng = StdRng::seed_from_u64(
-                            mc.seed
-                                .wrapping_add(index as u64)
-                                .wrapping_mul(0xA24B_AED4_963E_E407),
-                        );
-                        let hit = scenario.average_hit_ratio_under_fading(
-                            &result.placement,
-                            mc.fading_realisations,
-                            &mut rng,
-                        )?;
-                        per_algorithm.push((hit, result.runtime.as_secs_f64(), result.evaluations));
-                    }
-                    Ok(per_algorithm)
-                })();
-                match outcome {
-                    Ok(v) => results.lock()[index] = Some(v),
-                    Err(e) => {
-                        let mut slot = error.lock();
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                        break;
-                    }
-                }
-            });
+    // algorithm.
+    let per_topology = run_indexed(mc.topologies, mc.threads, |index| {
+        let scenario = topology.generate(library, mc.seed, index as u64)?;
+        let mut per_algorithm = Vec::with_capacity(algorithms.len());
+        for algorithm in algorithms {
+            let result = algorithm.place(&scenario)?;
+            let mut rng = StdRng::seed_from_u64(
+                mc.seed
+                    .wrapping_add(index as u64)
+                    .wrapping_mul(0xA24B_AED4_963E_E407),
+            );
+            let hit = scenario.average_hit_ratio_under_fading(
+                &result.placement,
+                mc.fading_realisations,
+                &mut rng,
+            )?;
+            per_algorithm.push((hit, result.runtime.as_secs_f64(), result.evaluations));
         }
-    });
+        Ok::<_, SimError>(per_algorithm)
+    })?;
 
-    if let Some(e) = error.into_inner() {
-        return Err(e);
-    }
-
-    let per_topology = results.into_inner();
     let mut samples: Vec<AlgorithmSamples> = algorithms
         .iter()
         .map(|a| AlgorithmSamples {
@@ -198,7 +154,7 @@ pub fn evaluate_algorithms(
             ..Default::default()
         })
         .collect();
-    for topo in per_topology.into_iter().flatten() {
+    for topo in per_topology {
         for (a, (hit, runtime, evals)) in topo.into_iter().enumerate() {
             samples[a].hit_ratios.push(hit);
             samples[a].runtimes_s.push(runtime);
@@ -289,11 +245,6 @@ mod tests {
         assert_eq!(MonteCarloConfig::paper().fading_realisations, 1000);
         assert!(MonteCarloConfig::reduced().topologies < 100);
         assert_eq!(MonteCarloConfig::default(), MonteCarloConfig::reduced());
-        assert!(MonteCarloConfig::smoke().worker_threads() == 1);
-        let auto = MonteCarloConfig {
-            threads: 0,
-            ..MonteCarloConfig::smoke()
-        };
-        assert!(auto.worker_threads() >= 1);
+        assert_eq!(MonteCarloConfig::smoke().threads, 1);
     }
 }

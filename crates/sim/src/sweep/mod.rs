@@ -9,7 +9,7 @@
 //! (topology → workload → policy → runtime) no matter how the spec was
 //! written down, every cell derives its seed from the FNV-1a
 //! fingerprint of the canonical spec text plus its own index, and the
-//! [`runner`] executes cells across a scoped-thread pool whose size
+//! [`runner`] executes cells on the runtime's worker pool, whose size
 //! changes wall-clock time only. The resulting [`SweepReport`] renders
 //! to CSV, JSON and Markdown byte-identically for any worker count —
 //! the same determinism contract the sharded engine honours, one level

@@ -1,16 +1,15 @@
 //! Online re-placement: the in-runtime control loop under demand drift.
 //!
 //! The paper notes that the operator can re-run the placement "when the
-//! performance degrades to a certain threshold" (Section IV-A). Earlier
-//! revisions of this example quantified that loop with *offline*
-//! snapshot replays (`sim::replacement`); it now drives the real thing:
-//! the `runtime::control` subsystem closing the loop *inside* a live
-//! serving run. A popularity flip hits mid-run; the controller estimates
-//! the new demand from the requests it serves, detects the hit-ratio
-//! drift, re-solves the placement with the shared-block-aware lazy
-//! greedy and stages the delta as block-granular backhaul fills — and
-//! the printout shows what that buys over the frozen placement: replan
-//! count, hit-ratio recovery time, and the reconfiguration bytes paid.
+//! performance degrades to a certain threshold" (Section IV-A). This
+//! example drives that loop as the `runtime::control` subsystem closes
+//! it *inside* a live serving run. A popularity flip hits mid-run; the
+//! controller estimates the new demand from the requests it serves,
+//! detects the hit-ratio drift, re-solves the placement with the
+//! shared-block-aware lazy greedy and stages the delta as block-granular
+//! backhaul fills — and the printout shows what that buys over the
+//! frozen placement: replan count, hit-ratio recovery time, and the
+//! reconfiguration bytes paid.
 //!
 //! Run with:
 //!

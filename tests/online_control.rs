@@ -151,6 +151,18 @@ fn drift_replan_beats_static_and_tracks_the_oracle_at_city_scale() {
     // The oracle staged exactly its one scheduled reconciliation.
     assert_eq!(oracle_run.metrics.replans_triggered, 1);
     assert!(oracle_run.metrics.reconcile_bytes_moved > 0);
+    // A re-plan migrates at most every server's full deduplicated
+    // catalogue.
+    let per_replan_ceiling =
+        scenario.library().total_unique_bytes() * scenario.num_servers() as u64;
+    for run in [&controller_run, &oracle_run] {
+        assert!(
+            run.metrics.reconcile_bytes_moved <= run.metrics.replans_triggered * per_replan_ceiling,
+            "{} reconfiguration bytes over {} re-plans exceed the ceiling",
+            run.metrics.reconcile_bytes_moved,
+            run.metrics.replans_triggered
+        );
+    }
 }
 
 #[test]

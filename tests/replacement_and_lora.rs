@@ -1,89 +1,13 @@
-//! Cross-crate integration tests for the online re-placement loop and the
-//! LoRA-marketplace library, exercised through the public facade API.
+//! Cross-crate integration test for the LoRA-marketplace library through
+//! the public facade API: on one server holding a shared foundation
+//! model, sharing-aware placement caches dozens of adapters where
+//! sharing-blind caching fits one.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use trimcaching::prelude::*;
-use trimcaching::sim::replacement::replay_with_policy;
 use trimcaching::wireless::geometry::{DeploymentArea, Point};
-
-fn paper_like_scenario(seed: u64) -> Scenario {
-    let library = SpecialCaseBuilder::paper_setup()
-        .models_per_backbone(3)
-        .build(seed);
-    TopologyConfig::paper_defaults()
-        .with_servers(5)
-        .with_users(10)
-        .generate(&library, seed, 0)
-        .expect("topology generates")
-}
-
-#[test]
-fn adaptive_replacement_never_trails_the_static_placement_on_average() {
-    let scenario = paper_like_scenario(11);
-    let area = DeploymentArea::paper_default();
-    let algorithm = TrimCachingGen::new();
-    let replay = ReplayConfig {
-        total_minutes: 60,
-        sample_interval_minutes: 20,
-        fading_realisations: 0,
-    };
-    let static_trace =
-        replay_with_policy(&scenario, area, &algorithm, None, &replay, 3, 5).unwrap();
-    let adaptive_trace = replay_with_policy(
-        &scenario,
-        area,
-        &algorithm,
-        Some(&ReplacementPolicy::with_trigger_drop(0.02)),
-        &replay,
-        3,
-        5,
-    )
-    .unwrap();
-    assert_eq!(static_trace.times_min, adaptive_trace.times_min);
-    assert_eq!(static_trace.replacements, 0);
-    assert!(adaptive_trace.mean_hit_ratio() >= static_trace.mean_hit_ratio() - 1e-9);
-    // Whatever was migrated is bounded by pushing every server's full
-    // deduplicated catalogue once per re-placement.
-    let per_replacement_ceiling =
-        scenario.library().total_unique_bytes() * scenario.num_servers() as u64;
-    assert!(
-        adaptive_trace.migrated_bytes
-            <= per_replacement_ceiling * adaptive_trace.replacements.max(1) as u64
-    );
-}
-
-#[test]
-fn tighter_triggers_cannot_reduce_the_replacement_count() {
-    let scenario = paper_like_scenario(29);
-    let area = DeploymentArea::paper_default();
-    let algorithm = TrimCachingGen::new();
-    let replay = ReplayConfig {
-        total_minutes: 80,
-        sample_interval_minutes: 20,
-        fading_realisations: 0,
-    };
-    let mut previous = usize::MAX;
-    for trigger in [0.01, 0.05, 0.2] {
-        let trace = replay_with_policy(
-            &scenario,
-            area,
-            &algorithm,
-            Some(&ReplacementPolicy::with_trigger_drop(trigger)),
-            &replay,
-            9,
-            13,
-        )
-        .unwrap();
-        assert!(
-            trace.replacements <= previous,
-            "trigger {trigger}: {} replacements after {previous} with a looser trigger",
-            trace.replacements
-        );
-        previous = trace.replacements;
-    }
-}
 
 #[test]
 fn lora_marketplace_end_to_end_shows_the_sharing_advantage() {
