@@ -13,16 +13,33 @@
 //!
 //! The produced placement is identical to [`crate::TrimCachingGen`] (ties
 //! are broken the same way: larger gain first, then smaller server index,
-//! then smaller model index) while typically performing an order of
-//! magnitude fewer marginal-gain evaluations — the difference is visible in
-//! the [`PlacementOutcome::evaluations`] counter and in the
-//! `lazy_greedy_scaling` benchmark.
+//! then smaller model index) while performing far fewer marginal-gain
+//! evaluations — never more than the eager greedy, which scores every
+//! feasible pair in every step. The difference is visible in the
+//! [`PlacementOutcome::evaluations`] counter and in the
+//! `lazy_greedy_scaling` benchmark. Two further devices keep the work
+//! proportional to what can still change between steps, and neither can
+//! alter a selection:
 //!
-//! One subtlety of the parameter-sharing storage constraint (Eq. 7): a pair
-//! that does not fit *now* can become feasible later, because placing a
-//! sibling model pays for the shared blocks and shrinks the pair's marginal
-//! byte cost. Candidates that fail the capacity check are therefore only
-//! set aside for the current selection step, never discarded.
+//! * **Capacity-blocked pairs leave the queue.** Whether `(m, i)` fits
+//!   under the parameter-sharing storage constraint (Eq. 7) depends only
+//!   on server `m`'s cache, and is checked *before* the pair's gain is
+//!   refreshed. A pair that does not fit is dropped for good: used bytes
+//!   plus the pair's marginal bytes are the deduplicated size of the
+//!   union of the cached models' blocks and the model's own blocks, and
+//!   that union only grows as the solve adds models. A sibling that pays
+//!   for shared blocks shrinks the pair's marginal cost, but never by
+//!   more than the bytes it adds itself, so a blocked pair never fits
+//!   again.
+//! * **Incremental coverage.** A solve starts from an empty placement, so
+//!   request `(k, i)` is served exactly when some placed `(m, i)` lists
+//!   `k` among its eligible users. The solver keeps that as a `K × I`
+//!   bitmap, set from `users_for(m, i)` when `(m, i)` is placed, instead
+//!   of probing every candidate server of every user on each refresh. A
+//!   refresh sums the weights of the uncovered eligible users in the same
+//!   ascending order as [`HitRatioObjective::marginal_hits`], so every
+//!   gain is bit-equal to it: each [`EligibilityView`] (dense, sparse,
+//!   masked) lists the same triples through `users_for` and `servers_for`.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -30,7 +47,7 @@ use std::time::Instant;
 
 use trimcaching_modellib::ModelId;
 use trimcaching_scenario::{
-    DemandView, EligibilityView, HitRatioObjective, Scenario, ServerId, StorageTracker,
+    DemandView, EligibilityView, HitRatioObjective, Placement, Scenario, ServerId, StorageTracker,
 };
 
 use crate::error::PlacementError;
@@ -45,7 +62,7 @@ struct Candidate {
     server: usize,
     /// Model index `i`.
     model: usize,
-    /// Greedy step at which `gain` was last recomputed.
+    /// Greedy step at which `gain` was last recomputed (0: never).
     round: u64,
 }
 
@@ -67,6 +84,46 @@ impl Ord for Candidate {
 impl PartialOrd for Candidate {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
+    }
+}
+
+/// Which requests `(k, i)` the placement built so far already serves,
+/// stored model-major (`i · K + k`) so a refresh walks one row.
+#[derive(Debug)]
+struct Coverage {
+    num_users: usize,
+    covered: Vec<bool>,
+}
+
+impl Coverage {
+    /// Coverage of the empty placement.
+    fn new(objective: &HitRatioObjective<'_>) -> Self {
+        let num_users = objective.num_users();
+        Self {
+            num_users,
+            covered: vec![false; num_users * objective.num_models()],
+        }
+    }
+
+    /// The marginal gain of placing `model` on `server`: bit-equal to
+    /// [`HitRatioObjective::marginal_hits`] over the covered placement.
+    fn gain(&self, objective: &HitRatioObjective<'_>, server: ServerId, model: ModelId) -> f64 {
+        let row = model.index() * self.num_users;
+        let mut gain = 0.0;
+        for user in objective.eligible_users(server, model) {
+            if !self.covered[row + user.index()] {
+                gain += objective.weight(user, model);
+            }
+        }
+        gain
+    }
+
+    /// Marks every request `(server, model)` can serve as served.
+    fn cover(&mut self, objective: &HitRatioObjective<'_>, server: ServerId, model: ModelId) {
+        let row = model.index() * self.num_users;
+        for user in objective.eligible_users(server, model) {
+            self.covered[row + user.index()] = true;
+        }
     }
 }
 
@@ -167,8 +224,27 @@ impl TrimCachingGenLazy {
         self.place_with_objective(scenario, &objective)
     }
 
-    /// The CELF loop over an explicit objective (shared by the
-    /// ground-truth and estimated-demand entry points).
+    /// The placement [`Self::place_with_demand_on`] chooses, without
+    /// scoring it: no ground-truth hit ratio (a `K × I` scan), no wall
+    /// clock and no evaluation count. An online planner that only needs
+    /// the target placement calls this on every re-plan.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`PlacementError`] when the demand's or eligibility's
+    /// dimensions disagree, or the scenario is inconsistent.
+    pub fn placement_with_demand_on(
+        &self,
+        scenario: &Scenario,
+        demand: &dyn DemandView,
+        eligibility: &dyn EligibilityView,
+    ) -> Result<Placement, PlacementError> {
+        let objective = HitRatioObjective::from_views(demand, eligibility)?;
+        Ok(self.solve(scenario, &objective)?.0)
+    }
+
+    /// Solves over an explicit objective and scores the result (shared
+    /// by the ground-truth and estimated-demand entry points).
     fn place_with_objective(
         &self,
         scenario: &Scenario,
@@ -176,78 +252,7 @@ impl TrimCachingGenLazy {
     ) -> Result<PlacementOutcome, PlacementError> {
         // audit:allow(wall-clock): measures solver wall time for PlacementOutcome reporting; never enters simulated time or traces
         let start = Instant::now();
-        let num_servers = scenario.num_servers();
-
-        let mut placement = scenario.empty_placement();
-        let mut trackers: Vec<StorageTracker<'_>> = (0..num_servers)
-            .map(|m| scenario.storage_tracker(ServerId(m)))
-            .collect::<Result<_, _>>()?;
-        let mut evaluations: u64 = 0;
-
-        // Seed the queue with the round-0 gains of every candidate pair —
-        // only models with at least one eligible user at the server; the
-        // rest have zero gain forever and never enter the queue.
-        let mut heap: BinaryHeap<Candidate> = BinaryHeap::new();
-        for m in 0..num_servers {
-            for model in objective.candidate_models(ServerId(m)) {
-                evaluations += 1;
-                let gain = objective.marginal_hits(&placement, ServerId(m), model);
-                if gain > 0.0 {
-                    heap.push(Candidate {
-                        gain,
-                        server: m,
-                        model: model.index(),
-                        round: 0,
-                    });
-                }
-            }
-        }
-
-        let mut round: u64 = 0;
-        loop {
-            round += 1;
-            // Candidates that are up to date for this round but do not fit
-            // right now; they may fit in later rounds once shared blocks are
-            // paid for by siblings, so they are re-queued after selection.
-            let mut deferred: Vec<Candidate> = Vec::new();
-            let mut selected: Option<Candidate> = None;
-
-            while let Some(mut top) = heap.pop() {
-                if top.round != round {
-                    // Stale upper bound: refresh and reconsider.
-                    evaluations += 1;
-                    top.gain = objective.marginal_hits(
-                        &placement,
-                        ServerId(top.server),
-                        ModelId(top.model),
-                    );
-                    top.round = round;
-                    if top.gain > 0.0 {
-                        heap.push(top);
-                    }
-                    continue;
-                }
-                // Fresh gain that dominates everything still queued.
-                if trackers[top.server].fits(ModelId(top.model))? {
-                    selected = Some(top);
-                    break;
-                }
-                deferred.push(top);
-            }
-
-            for c in deferred {
-                heap.push(c);
-            }
-
-            match selected {
-                Some(best) => {
-                    placement.place(ServerId(best.server), ModelId(best.model))?;
-                    trackers[best.server].add(ModelId(best.model))?;
-                }
-                None => break,
-            }
-        }
-
+        let (placement, evaluations) = self.solve(scenario, objective)?;
         Ok(PlacementOutcome::new(
             self.name(),
             scenario,
@@ -255,6 +260,80 @@ impl TrimCachingGenLazy {
             start.elapsed(),
             evaluations,
         ))
+    }
+
+    /// The CELF loop: returns the placement and the number of gain
+    /// evaluations it took.
+    fn solve(
+        &self,
+        scenario: &Scenario,
+        objective: &HitRatioObjective<'_>,
+    ) -> Result<(Placement, u64), PlacementError> {
+        let num_servers = scenario.num_servers();
+
+        let mut placement = scenario.empty_placement();
+        let mut trackers: Vec<StorageTracker<'_>> = (0..num_servers)
+            .map(|m| scenario.storage_tracker(ServerId(m)))
+            .collect::<Result<_, _>>()?;
+        let mut coverage = Coverage::new(objective);
+        let mut evaluations: u64 = 0;
+
+        // Every candidate pair enters with an infinite, never-computed
+        // bound, so the first step scores exactly the pairs that fit, as
+        // the eager greedy's first scan does. Models without an eligible
+        // user at the server have zero gain forever and never enter the
+        // queue.
+        let mut heap: BinaryHeap<Candidate> = BinaryHeap::new();
+        for m in 0..num_servers {
+            for model in objective.candidate_models(ServerId(m)) {
+                heap.push(Candidate {
+                    gain: f64::INFINITY,
+                    server: m,
+                    model: model.index(),
+                    round: 0,
+                });
+            }
+        }
+
+        let mut round: u64 = 0;
+        loop {
+            round += 1;
+            let mut selected: Option<Candidate> = None;
+
+            while let Some(mut top) = heap.pop() {
+                if top.round == round {
+                    // A fresh gain dominating everything still queued; it
+                    // fit when it was refreshed, and no cache has changed
+                    // within this step.
+                    selected = Some(top);
+                    break;
+                }
+                if !trackers[top.server].fits(ModelId(top.model))? {
+                    // Its server's cache only grows: it never fits again.
+                    continue;
+                }
+                // Stale upper bound on a feasible pair: refresh and
+                // reconsider.
+                evaluations += 1;
+                top.gain = coverage.gain(objective, ServerId(top.server), ModelId(top.model));
+                top.round = round;
+                if top.gain > 0.0 {
+                    heap.push(top);
+                }
+            }
+
+            match selected {
+                Some(best) => {
+                    let (server, model) = (ServerId(best.server), ModelId(best.model));
+                    placement.place(server, model)?;
+                    trackers[best.server].add(model)?;
+                    coverage.cover(objective, server, model);
+                }
+                None => break,
+            }
+        }
+
+        Ok((placement, evaluations))
     }
 }
 
@@ -316,14 +395,101 @@ mod tests {
     }
 
     #[test]
-    fn deferred_candidates_are_reconsidered_in_later_rounds() {
-        // A tight capacity forces the greedy to defer large models whose
-        // shared prefix has not been paid for yet; the lazy variant must
-        // still end up with the same packing as the eager variant.
+    fn capacity_blocked_candidates_leave_the_same_packing_as_eager() {
+        // A tight capacity blocks large models early; the lazy variant
+        // drops them from its queue and must still end up with the
+        // packing of the eager variant, which re-checks them every step.
         let scenario = tiny_scenario(9, 0.25, 17).unwrap();
         let eager = TrimCachingGen::new().place(&scenario).unwrap();
         let lazy = TrimCachingGenLazy::new().place(&scenario).unwrap();
         assert_eq!(eager.placement, lazy.placement);
+    }
+
+    /// Walks an uncapacitated greedy trajectory over `objective` and
+    /// asserts, before every step, that the coverage gain of every
+    /// `(server, model)` pair equals `marginal_hits` bit for bit.
+    fn assert_coverage_tracks_marginal_hits(objective: &HitRatioObjective<'_>) -> usize {
+        let (num_servers, num_models) = (objective.num_servers(), objective.num_models());
+        let mut placement = Placement::empty(num_servers, num_models);
+        let mut coverage = Coverage::new(objective);
+        let mut steps = 0;
+        loop {
+            let mut best: Option<(f64, ServerId, ModelId)> = None;
+            for m in (0..num_servers).map(ServerId) {
+                for model in (0..num_models).map(ModelId) {
+                    let exact = objective.marginal_hits(&placement, m, model);
+                    let tracked = coverage.gain(objective, m, model);
+                    assert_eq!(
+                        tracked.to_bits(),
+                        exact.to_bits(),
+                        "step {steps}, pair ({}, {}): {tracked} vs {exact}",
+                        m.index(),
+                        model.index()
+                    );
+                    if exact > 0.0 && best.is_none_or(|(g, _, _)| exact > g) {
+                        best = Some((exact, m, model));
+                    }
+                }
+            }
+            let Some((_, m, model)) = best else {
+                return steps;
+            };
+            placement.place(m, model).unwrap();
+            coverage.cover(objective, m, model);
+            steps += 1;
+        }
+    }
+
+    #[test]
+    fn coverage_gains_equal_marginal_hits_on_every_view() {
+        use trimcaching_scenario::{
+            EligibilityTensor, MaskedEligibility, SparseEligibility, UserId,
+        };
+        for (seed, special) in [(3_u64, true), (10, false)] {
+            let scenario = paper_like_scenario(5, 14, 12, 0.5, seed, special).unwrap();
+            let view = scenario.eligibility();
+            let (m, k, i) = (
+                scenario.num_servers(),
+                scenario.num_users(),
+                scenario.num_models(),
+            );
+            let eligible =
+                |s: usize, u: usize, model: usize| view.eligible(s, UserId(u), ModelId(model));
+            let dense = EligibilityTensor::from_fn(m, k, i, eligible);
+            let sparse = SparseEligibility::from_fn(m, k, i, eligible);
+            let down: Vec<bool> = (0..m).map(|s| s % 2 == 1).collect();
+            let masked_dense = MaskedEligibility::new(&dense, &down);
+            let masked_sparse = MaskedEligibility::new(&sparse, &down);
+            let views: [&dyn EligibilityView; 4] = [&dense, &sparse, &masked_dense, &masked_sparse];
+            for view in views {
+                let objective = HitRatioObjective::from_views(scenario.demand(), view).unwrap();
+                let steps = assert_coverage_tracks_marginal_hits(&objective);
+                assert!(steps > 1, "seed {seed}: the trajectory must place models");
+            }
+        }
+    }
+
+    #[test]
+    fn placement_only_entry_point_matches_the_scored_solve() {
+        use trimcaching_scenario::MaskedEligibility;
+        let scenario = paper_like_scenario(4, 12, 12, 0.4, 17, true).unwrap();
+        let down = [false, true, false, true];
+        let masked = MaskedEligibility::new(scenario.eligibility(), &down);
+        let views: [&dyn EligibilityView; 2] = [scenario.eligibility(), &masked];
+        for view in views {
+            let scored = TrimCachingGenLazy::new()
+                .place_with_demand_on(&scenario, scenario.demand(), view)
+                .unwrap();
+            let placement = TrimCachingGenLazy::new()
+                .placement_with_demand_on(&scenario, scenario.demand(), view)
+                .unwrap();
+            assert_eq!(scored.placement, placement);
+        }
+        let direct = TrimCachingGenLazy::new().place(&scenario).unwrap();
+        let placement = TrimCachingGenLazy::new()
+            .placement_with_demand_on(&scenario, scenario.demand(), scenario.eligibility())
+            .unwrap();
+        assert_eq!(direct.placement, placement);
     }
 
     #[test]

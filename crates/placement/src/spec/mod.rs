@@ -123,12 +123,8 @@ impl PlacementAlgorithm for TrimCachingSpec {
         // model has all of its shared blocks inside the combination, the
         // residual cost is exactly its specific (unshared) part.
         let specific_sizes: Vec<u64> = (0..num_models)
-            .map(|i| {
-                library
-                    .specific_size_bytes(ModelId(i))
-                    .expect("model ids are dense")
-            })
-            .collect();
+            .map(|i| library.specific_size_bytes(ModelId(i)))
+            .collect::<Result<_, _>>()?;
 
         let mut placement = scenario.empty_placement();
         let mut evaluations = 0u64;

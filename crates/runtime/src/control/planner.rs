@@ -2,13 +2,17 @@
 //!
 //! The planner is deliberately thin: it feeds the estimator's
 //! [`DemandEstimate`] into the very same shared-block-aware CELF lazy
-//! greedy ([`TrimCachingGenLazy`]) the offline pipeline uses — via the
-//! [`place_with_demand`](TrimCachingGenLazy::place_with_demand) entry
-//! point the placement crate exposes over the `DemandView` trait — and
-//! returns the target placement. Eligibility, capacities and block
+//! greedy ([`TrimCachingGenLazy`]) the offline pipeline uses and returns
+//! the target placement. It calls the solver's placement-only entry
+//! point, [`placement_with_demand_on`](TrimCachingGenLazy::placement_with_demand_on),
+//! which skips scoring the plan under ground truth — a `K × I` scan the
+//! controller would throw away. Eligibility, capacities and block
 //! sharing all come from the *current* (mobility-evolved) scenario
 //! snapshot, so a re-plan accounts for where the users actually are,
-//! not where they were at warm-start time.
+//! not where they were at warm-start time. Each solve drops the pairs
+//! that stop fitting and tracks served requests incrementally (see
+//! [`trimcaching_placement::lazy`]), so a re-plan re-scores a pair only
+//! when it reaches the top of the queue and still fits its server.
 
 use trimcaching_placement::TrimCachingGenLazy;
 use trimcaching_scenario::{DemandEstimate, MaskedEligibility, Placement, Scenario};
@@ -27,8 +31,7 @@ pub fn plan_target(
     estimate: &DemandEstimate,
 ) -> Result<Placement, RuntimeError> {
     TrimCachingGenLazy::new()
-        .place_with_demand(scenario, estimate)
-        .map(|outcome| outcome.placement)
+        .placement_with_demand_on(scenario, estimate, scenario.eligibility())
         .map_err(|e| RuntimeError::Control {
             reason: format!("re-placement solve failed: {e}"),
         })
@@ -55,8 +58,7 @@ pub fn plan_target_masked(
     }
     let masked = MaskedEligibility::new(scenario.eligibility(), down);
     TrimCachingGenLazy::new()
-        .place_with_demand_on(scenario, estimate, &masked)
-        .map(|outcome| outcome.placement)
+        .placement_with_demand_on(scenario, estimate, &masked)
         .map_err(|e| RuntimeError::Control {
             reason: format!("failure-masked re-placement solve failed: {e}"),
         })

@@ -241,6 +241,39 @@ mod tests {
     }
 
     #[test]
+    fn a_blocked_model_stays_blocked_as_models_are_added() {
+        // used + marginal(i) is the union size of the cached blocks and
+        // i's blocks, so adds never lower it: the lazy greedy relies on
+        // this to drop a pair that does not fit for the rest of a solve.
+        let lib = library();
+        let orders = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        for capacity in (0..=300).step_by(5) {
+            for order in orders {
+                let mut t = StorageTracker::new(&lib, capacity);
+                let mut blocked = [false; 3];
+                for next in order {
+                    for (i, was_blocked) in blocked.iter_mut().enumerate() {
+                        let fits = t.fits(ModelId(i)).unwrap();
+                        assert!(
+                            !(*was_blocked && fits),
+                            "model {i} fits again at capacity {capacity}, order {order:?}"
+                        );
+                        *was_blocked = !fits;
+                    }
+                    t.add(ModelId(next)).unwrap();
+                }
+            }
+        }
+    }
+
+    #[test]
     fn used_bytes_tracks_union_size() {
         let lib = library();
         let mut t = StorageTracker::new(&lib, 1_000);

@@ -91,6 +91,33 @@ proptest! {
         prop_assert!(lazy.evaluations <= eager.evaluations);
     }
 
+    /// The same equivalence where servers fill: many servers, a 30-model
+    /// library and 0.1–0.5 GB caches, so models that still have positive
+    /// gain stop fitting and the lazy greedy drops them from its queue
+    /// while the eager greedy re-checks them every step.
+    #[test]
+    fn lazy_greedy_is_equivalent_to_eager_greedy_when_servers_fill(
+        seed in 0u64..5000,
+        special in any::<bool>(),
+        num_servers in 6usize..11,
+        num_users in 10usize..30,
+        capacity_hundredths in 10u32..51,
+    ) {
+        let scenario = build_scenario(
+            seed,
+            special,
+            num_servers,
+            num_users,
+            10,
+            capacity_hundredths as f64 / 100.0,
+        );
+        let eager = TrimCachingGen::new().place(&scenario).unwrap();
+        let lazy = TrimCachingGenLazy::new().place(&scenario).unwrap();
+        prop_assert_eq!(&eager.placement, &lazy.placement);
+        prop_assert_eq!(eager.hit_ratio.to_bits(), lazy.hit_ratio.to_bits());
+        prop_assert!(lazy.evaluations <= eager.evaluations);
+    }
+
     /// The popularity and random baselines always return feasible
     /// placements, and the sharing-aware greedy never loses to either.
     #[test]
